@@ -1,6 +1,6 @@
 package swiftest_test
 
-// Public-API face of the protocol-v2 redesign: negotiated wire versions,
+// Public-API face of the wire protocol: the negotiated wire version,
 // lease-token authentication, the shared Estimates struct across live,
 // emulated, and baseline runners, and the SessionOptions discipline.
 
@@ -25,8 +25,8 @@ func smallModel(t *testing.T) *swiftest.Model {
 	return m
 }
 
-// TestPublicV2Negotiation: a default (ProtoAuto) live test against a current
-// server lands on protocol v2 and reports the full estimator family.
+// TestPublicV2Negotiation: a live test lands on wire version 2 and reports
+// the full estimator family.
 func TestPublicV2Negotiation(t *testing.T) {
 	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60})
 	if err != nil {
@@ -34,7 +34,7 @@ func TestPublicV2Negotiation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
 		Model:       smallModel(t),
 		MaxDuration: 3 * time.Second,
@@ -44,7 +44,7 @@ func TestPublicV2Negotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.ProtocolVersion != 2 {
-		t.Errorf("ProtocolVersion = %d, want 2 (ProtoAuto against a v2 server)", res.ProtocolVersion)
+		t.Errorf("ProtocolVersion = %d, want 2", res.ProtocolVersion)
 	}
 	if res.Estimates.CrossingMbps != res.BandwidthMbps {
 		t.Errorf("Estimates.CrossingMbps = %g, want BandwidthMbps %g",
@@ -58,39 +58,13 @@ func TestPublicV2Negotiation(t *testing.T) {
 	}
 }
 
-// TestPublicProtocolPinning: ProtoV1 forces the legacy wire, and the result
-// says so.
-func TestPublicProtocolPinning(t *testing.T) {
-	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	res, err := swiftest.Test(swiftest.TestOptions{
-		Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
-		Model:       smallModel(t),
-		MaxDuration: 3 * time.Second,
-		Seed:        32,
-		Protocol:    swiftest.ProtoV1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProtocolVersion != 1 {
-		t.Errorf("ProtocolVersion = %d, want 1 (pinned)", res.ProtocolVersion)
-	}
-	if res.BandwidthMbps <= 0 {
-		t.Error("pinned-v1 test produced no estimate")
-	}
-}
-
-// TestPublicAuthFlow: a keyed server refuses an untokened test with
-// ErrAuthRejected and admits one holding a minted token — the full
-// dispatcher-lease story through the public API.
+// TestPublicAuthFlow: a keyed server refuses untokened and expired-token
+// tests with ErrAuthRejected, counting each refusal, and admits one holding
+// a minted token — the full dispatcher-lease story through the public API.
 func TestPublicAuthFlow(t *testing.T) {
 	const key = 0x5157494654455354
-	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60, AuthKey: key})
+	reg := swiftest.NewMetricsRegistry()
+	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60, AuthKey: key, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +75,17 @@ func TestPublicAuthFlow(t *testing.T) {
 		Model:       smallModel(t),
 		MaxDuration: 2 * time.Second,
 		Seed:        33,
-		Protocol:    swiftest.ProtoV2,
 	}
-	if _, err := swiftest.Test(opts); !errors.Is(err, swiftest.ErrAuthRejected) {
+	if _, err := swiftest.TestContext(context.Background(), opts); !errors.Is(err, swiftest.ErrAuthRejected) {
 		t.Errorf("untokened test: err = %v, want ErrAuthRejected", err)
+	}
+	expired := opts
+	expired.Token = swiftest.MintAuthTokenExpiring(key, 0, 1, time.Now().Add(-time.Minute))
+	if _, err := swiftest.TestContext(context.Background(), expired); !errors.Is(err, swiftest.ErrAuthRejected) {
+		t.Errorf("expired-token test: err = %v, want ErrAuthRejected", err)
+	}
+	if got := reg.Snapshot().Counters["swiftest_server_auth_rejects_total"]; got != 2 {
+		t.Errorf("auth rejects = %d, want 2 (untokened, expired)", got)
 	}
 
 	token := swiftest.MintAuthToken(key, 0, 1)
@@ -113,7 +94,7 @@ func TestPublicAuthFlow(t *testing.T) {
 		t.Fatalf("token round-trip: %v (%v != %v)", err, parsed, token)
 	}
 	opts.Token = parsed
-	res, err := swiftest.Test(opts)
+	res, err := swiftest.TestContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("tokened test: %v", err)
 	}
@@ -126,7 +107,7 @@ func TestPublicAuthFlow(t *testing.T) {
 // TestLiveTestRejectsFaultPlan: fault plans belong to the emulator and to
 // fault-injecting servers; a live test with one set is a caller bug.
 func TestLiveTestRejectsFaultPlan(t *testing.T) {
-	_, err := swiftest.Test(swiftest.TestOptions{
+	_, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		SessionOptions: swiftest.SessionOptions{Faults: &swiftest.FaultPlan{}},
 		Servers:        []swiftest.ServerAddr{{Addr: "127.0.0.1:1", UplinkMbps: 10}},
 		Model:          smallModel(t),
@@ -187,7 +168,7 @@ func TestBaselinesShareEstimates(t *testing.T) {
 }
 
 // TestPingServerOptions: the struct-options ping probes a live server with
-// defaulted knobs and keeps the deprecated positional forms working.
+// defaulted knobs and with explicit ones.
 func TestPingServerOptions(t *testing.T) {
 	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 10})
 	if err != nil {
@@ -202,8 +183,8 @@ func TestPingServerOptions(t *testing.T) {
 	if rtt <= 0 {
 		t.Errorf("rtt = %v, want > 0", rtt)
 	}
-	legacy, err := swiftest.Ping(srv.Addr(), 1, time.Second)
-	if err != nil || legacy <= 0 {
-		t.Errorf("deprecated Ping = (%v, %v), want a latency", legacy, err)
+	once, err := swiftest.PingServer(context.Background(), swiftest.PingOptions{Addr: srv.Addr(), Count: 1, Timeout: time.Second})
+	if err != nil || once <= 0 {
+		t.Errorf("one-probe PingServer = (%v, %v), want a latency", once, err)
 	}
 }

@@ -31,7 +31,7 @@ type assignResponse struct {
 	LeaseSeq    uint64               `json:"lease_seq"`
 	Servers     []swiftest.ServerAddr `json:"servers"`
 	// Token is the hex session auth token minted for this lease; empty on
-	// open (unkeyed) fleets. Clients present it at v2 session setup.
+	// open (unkeyed) fleets. Clients present it at session setup.
 	Token string `json:"token,omitempty"`
 }
 

@@ -112,7 +112,7 @@ func serve(args []string) error {
 	register := fs.String("register", "", "fleet dispatch URL to register with and heartbeat (empty disables)")
 	domain := fs.String("domain", "", "IXP domain to report when registering with a dispatcher")
 	wireMode := fs.String("wire", "auto", "wire send path: auto (batched syscalls + segmentation offload where available) or fallback (one datagram per syscall)")
-	authKey := fs.Uint64("authkey", 0, "fleet auth key; non-zero requires v2 clients to present a lease token minted under it")
+	authKey := fs.Uint64("authkey", 0, "fleet auth key; non-zero requires every client to present a lease token minted under it")
 	verbose := fs.Bool("v", false, "log test activity")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -214,7 +214,6 @@ func test(args []string) error {
 	timeout := fs.Duration("timeout", 0, "hard deadline for the whole test including server selection (0 disables)")
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	tracePath := fs.String("trace", "", "write a JSONL run-record of the test to this file")
-	protoFlag := fs.String("protocol", "auto", "wire protocol: auto (v2 with v1 fallback), v1, or v2")
 	tokenFlag := fs.String("token", "", "hex session auth token for a keyed deployment (minted by the dispatcher; implicit with -dispatch)")
 	regimeHint := fs.Bool("regime-hint", false, "feed the BDP-regime classifier back as a convergence hint")
 	terminateFlag := fs.String("terminate", "", "termination policy: crossing (default), fastbts, or earlystop")
@@ -223,10 +222,6 @@ func test(args []string) error {
 		return err
 	}
 	terminate, err2 := parseTerminate(*terminateFlag, *terminateModel)
-	if err2 != nil {
-		return err2
-	}
-	proto, err2 := swiftest.ParseProtocol(*protoFlag)
 	if err2 != nil {
 		return err2
 	}
@@ -302,7 +297,6 @@ func test(args []string) error {
 		Servers:        pool,
 		Model:          model,
 		MaxDuration:    *maxDur,
-		Protocol:       proto,
 		Token:          token,
 		RegimeHint:     *regimeHint,
 	})

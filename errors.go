@@ -2,8 +2,8 @@ package swiftest
 
 import "github.com/mobilebandwidth/swiftest/internal/errdefs"
 
-// Structured error vocabulary. Every error returned by Test, TestContext,
-// Ping, PingContext and SimulateTest wraps one of these sentinels (match
+// Structured error vocabulary. Every error returned by TestContext,
+// PingServer and SimulateTestContext wraps one of these sentinels (match
 // with errors.Is) or a *ServerError (match with errors.As), so callers can
 // dispatch on the failure class without string matching.
 var (
@@ -14,8 +14,8 @@ var (
 	ErrNoReachableServer = errdefs.ErrNoReachableServer
 	// ErrModelRequired reports a test request without a bandwidth model.
 	ErrModelRequired = errdefs.ErrModelRequired
-	// ErrProbeTimeout reports a latency probe that saw no pong within its
-	// deadline.
+	// ErrProbeTimeout reports a latency probe that saw no pong, or a
+	// session handshake step that saw no reply, within its deadline.
 	ErrProbeTimeout = errdefs.ErrProbeTimeout
 	// ErrTestAborted reports a test cancelled by its context (cancellation
 	// or deadline) before completing.
@@ -25,10 +25,6 @@ var (
 	// tokens. Match the wrapping *SaturatedError with errors.As for the
 	// retry-after hint.
 	ErrFleetSaturated = errdefs.ErrFleetSaturated
-	// ErrProtocolUnsupported reports that TestOptions.Protocol pinned a wire
-	// generation the server pool cannot speak (ProtoV2 against legacy
-	// servers).
-	ErrProtocolUnsupported = errdefs.ErrProtocolUnsupported
 	// ErrAuthRejected reports that a keyed server refused the session token
 	// (missing, forged, or minted under a different deployment key; see
 	// TestOptions.Token and ServerOptions.AuthKey).

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -49,7 +50,7 @@ func main() {
 	// On fast multi-core machines the test converges in ≈1 s; on a loaded
 	// single-core box sample jitter can exceed the 3 % criterion, in which
 	// case the test rides to this deadline and reports the trailing window.
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     pool,
 		Model:       model,
 		MaxDuration: 2 * time.Second,
@@ -64,7 +65,7 @@ func main() {
 	fmt.Printf("data consumed : %.1f MB in %d samples\n", res.DataMB, len(res.Samples))
 	fmt.Printf("escalations   : %d (started at %.0f Mbps)\n", res.RateChanges, res.InitialRateMbps)
 
-	// The servers received the result via the Fin message (§5.1's feed for
+	// The servers received the result via the Bye message (§5.1's feed for
 	// periodic model refresh).
 	select {
 	case reported := <-results:

@@ -21,8 +21,8 @@ var (
 	ErrNoReachableServer = errors.New("no reachable test server")
 	// ErrModelRequired reports a test request without a bandwidth model.
 	ErrModelRequired = errors.New("a bandwidth model is required")
-	// ErrProbeTimeout reports a latency probe that saw no pong within its
-	// deadline.
+	// ErrProbeTimeout reports a latency probe that saw no pong, or a
+	// session handshake step that saw no reply, within its deadline.
 	ErrProbeTimeout = errors.New("probe timed out")
 	// ErrTestAborted reports a test cancelled by its context (cancellation
 	// or deadline) before completing.
@@ -32,13 +32,10 @@ var (
 	// or out of admission tokens. The error usually arrives wrapped in a
 	// *SaturatedError carrying a retry-after hint.
 	ErrFleetSaturated = errors.New("fleet saturated")
-	// ErrAuthRejected reports a protocol-v2 session setup refused by the
-	// server's lease authentication: the token was absent, forged, or minted
-	// under a different fleet key.
+	// ErrAuthRejected reports a session setup refused by the server's lease
+	// authentication: the token was absent, forged, expired, or minted under
+	// a different fleet key.
 	ErrAuthRejected = errors.New("session auth rejected")
-	// ErrProtocolUnsupported reports a client that required protocol v2
-	// against a server that never answered the version negotiation.
-	ErrProtocolUnsupported = errors.New("protocol v2 not supported by server")
 )
 
 // SaturatedError is the structured form of ErrFleetSaturated: the dispatcher

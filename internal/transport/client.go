@@ -20,15 +20,10 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// PingServer measures the round-trip latency to one server with count pings
-// and returns the minimum RTT observed, the standard BTS server-selection
-// metric (§2). It is PingServerContext with a background context.
-func PingServer(addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return PingServerContext(context.Background(), addr, count, timeout)
-}
-
-// PingServerContext is PingServer honouring ctx: cancellation stops the ping
-// exchange early. Failure to elicit any pong yields an error matching both
+// PingServerContext measures the round-trip latency to one server with count
+// pings and returns the minimum RTT observed, the standard BTS
+// server-selection metric (§2). Cancelling ctx stops the ping exchange
+// early. Failure to elicit any pong yields an error matching both
 // errdefs.ErrProbeTimeout and errdefs.ServerError.
 func PingServerContext(ctx context.Context, addr string, count int, timeout time.Duration) (time.Duration, error) {
 	if count <= 0 {
@@ -102,20 +97,13 @@ type ServerPool struct {
 type PoolServer struct {
 	Addr       string
 	UplinkMbps float64
-	// RTT is filled by RankByLatency.
+	// RTT is filled by RankByLatencyContext.
 	RTT time.Duration
 }
 
-// rankConcurrency bounds the goroutines RankByLatency fans out, so a huge
-// candidate list cannot open hundreds of sockets at once.
+// rankConcurrency bounds the goroutines RankByLatencyContext fans out, so a
+// huge candidate list cannot open hundreds of sockets at once.
 const rankConcurrency = 8
-
-// RankByLatency pings every server and sorts the pool by ascending RTT,
-// dropping unreachable servers. It is RankByLatencyContext with a background
-// context.
-func (p *ServerPool) RankByLatency(pingCount int, timeout time.Duration) error {
-	return p.RankByLatencyContext(context.Background(), pingCount, timeout)
-}
 
 // RankByLatencyContext pings all servers concurrently (bounded fan-out) and
 // sorts the pool by ascending RTT, dropping unreachable servers. Ties keep
@@ -180,10 +168,11 @@ func (p *ServerPool) serversFor(rateMbps float64) []PoolServer {
 // probing rate (§5.1 "slightly exceeds").
 const uplinkHeadroom = 1.05
 
-// handshakeAttempts bounds session-setup retries per server.
+// handshakeAttempts bounds the sends of each handshake step (Hello, Setup,
+// DataOpen) per server.
 const handshakeAttempts = 5
 
-// handshakeTimeout is the per-attempt wait for a TestAccept.
+// handshakeTimeout is the per-attempt wait for a handshake reply.
 const handshakeTimeout = 200 * time.Millisecond
 
 // UDPProbe implements core.Probe over real UDP sockets against a pool of
@@ -227,16 +216,15 @@ type UDPProbe struct {
 	wire    WireMode // syscall strategy for session receive loops
 	recvBuf *bufPool // pooled receive buffers, shared across sessions
 
-	proto Protocol   // wire generation policy; set before the first SetRate
-	token wire.Token // dispatcher-lease auth token carried by v2 Setups
+	token wire.Token // dispatcher-lease auth token carried by every Setup
 
-	// finalEst/finalRegime ride the v2 Bye when set; guarded by mu.
+	// finalEst/finalRegime ride the Bye when set; guarded by mu.
 	finalEst    estimate.Estimates
 	finalRegime estimate.Regime
 }
 
 type clientSession struct {
-	conn   *net.UDPConn // the only socket (v1) or the data channel (v2)
+	conn   *net.UDPConn // data channel: paced probe datagrams only
 	server PoolServer
 	probe  *UDPProbe
 	done   chan struct{}
@@ -247,8 +235,6 @@ type clientSession struct {
 	lost     bool    // probe.mu held for access
 	tracker  *faults.LostTracker
 
-	// Protocol-v2 state; zero-valued on v1 sessions.
-	v2         bool
 	id         uint64       // session ID, the key both channels share
 	caps       uint32       // capability intersection from the SetupAck
 	ctrl       *net.UDPConn // control channel
@@ -262,16 +248,10 @@ type clientSession struct {
 // SampleInterval is the client's sampling period, matching §5.1's 50 ms.
 const SampleInterval = 50 * time.Millisecond
 
-// NewUDPProbe prepares a probe against the ranked pool. The probe is idle
-// until the first SetRate. It is NewUDPProbeContext with a background
-// context.
-func NewUDPProbe(pool *ServerPool, rng *rand.Rand) (*UDPProbe, error) {
-	return NewUDPProbeContext(context.Background(), pool, rng)
-}
-
-// NewUDPProbeContext prepares a probe whose handshakes and sample waits
-// honour ctx: cancellation makes the next NextSample return !ok and stops
-// handshake retries.
+// NewUDPProbeContext prepares a probe against the ranked pool. The probe is
+// idle until the first SetRate. Its handshakes and sample waits honour ctx:
+// cancellation makes the next NextSample return !ok and stops handshake
+// retries.
 func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand) (*UDPProbe, error) {
 	if len(pool.Servers) == 0 {
 		return nil, fmt.Errorf("transport: %w: empty server pool", errdefs.ErrNoServers)
@@ -352,8 +332,8 @@ func (p *UDPProbe) SetRate(mbps float64) error {
 	p.redistributeLocked()
 	if mbps > 0 && p.liveCountLocked() == 0 {
 		if p.lastOpenErr != nil {
-			// Surface the concrete refusal (auth rejection, protocol
-			// mismatch) instead of a generic exhaustion error.
+			// Surface the concrete refusal (auth rejection, handshake
+			// timeout) instead of a generic exhaustion error.
 			return fmt.Errorf("transport: %w: no test server accepted the session: %w",
 				errdefs.ErrNoReachableServer, p.lastOpenErr)
 		}
@@ -413,99 +393,12 @@ func (p *UDPProbe) redistributeLocked() {
 		remaining -= share
 		sess.assigned = share
 		// Send twice: rate updates are idempotent; send errors are UDP loss.
-		if sess.v2 {
-			r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
-			buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
-			for j := 0; j < 2; j++ {
-				_, _ = sess.ctrl.Write(buf)
-			}
-			continue
-		}
-		rs := wire.RateSet{TestID: p.testID, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
-		buf := rs.AppendTo(make([]byte, 0, wire.RateSetLen))
+		r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
+		buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
 		for j := 0; j < 2; j++ {
-			_, _ = sess.conn.Write(buf)
+			_, _ = sess.ctrl.Write(buf)
 		}
 	}
-}
-
-// openSessionLocked dials one server at the configured protocol generation:
-// v2 first unless pinned to ProtoV1, falling back to the legacy
-// TestRequest/TestAccept handshake when a ProtoAuto negotiation goes
-// unanswered. Callers hold p.mu.
-func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) {
-	if p.proto != ProtoV1 {
-		sess, err := p.openV2SessionLocked(server)
-		if err == nil {
-			return sess, nil
-		}
-		if p.proto == ProtoV2 || !errors.Is(err, errdefs.ErrProtocolUnsupported) {
-			return nil, err
-		}
-		// ProtoAuto against a legacy server: negotiate down to v1.
-	}
-	raddr, err := net.ResolveUDPAddr("udp", server.Addr)
-	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-	}
-	if err := conn.SetReadBuffer(4 << 20); err != nil {
-		// Non-fatal: the default buffer just loses more under burst.
-		_ = err
-	}
-
-	req := wire.TestRequest{TestID: p.testID, RateKbps: 0}
-	reqBuf := req.AppendTo(make([]byte, 0, wire.TestRequestLen))
-	buf := make([]byte, 2048)
-	accepted := false
-	for attempt := 0; attempt < handshakeAttempts && !accepted; attempt++ {
-		if err := p.ctx.Err(); err != nil {
-			conn.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-				Err: fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)}
-		}
-		if attempt > 0 {
-			p.retryCounter.Inc()
-			p.trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
-		}
-		if _, err := conn.Write(reqBuf); err != nil {
-			conn.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				break
-			}
-			var acc wire.TestAccept
-			if acc.Decode(buf[:n]) == nil && acc.TestID == p.testID {
-				accepted = true
-				break
-			}
-		}
-	}
-	if !accepted {
-		conn.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-			Err: fmt.Errorf("no accept after %d attempts: %w", handshakeAttempts, errdefs.ErrProbeTimeout)}
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	sess := &clientSession{
-		conn:    conn,
-		server:  server,
-		probe:   p,
-		done:    make(chan struct{}),
-		tracker: faults.NewLostTracker(p.lostAfter),
-	}
-	p.used++
-	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 0, server.UplinkMbps, server.Addr)
-	go sess.receiveLoop()
-	return sess, nil
 }
 
 // clientRecvBatch is how many datagrams a session's receive loop accepts
@@ -552,38 +445,23 @@ func (cs *clientSession) receiveLoop() {
 		}
 		for i := 0; i < n; i++ {
 			pkt := msgs[i].Buf[:msgs[i].N]
-			_, typ, err := wire.PeekVersion(pkt)
-			if err != nil || (typ != wire.TypeData && typ != wire.TypeData2) {
+			var d wire.Data2
+			if d.Decode(pkt) != nil {
 				continue
 			}
 			cs.rxBytes.Add(int64(len(pkt)))
 			cs.probe.rxBytes.Add(int64(len(pkt)))
-			cs.probe.observeJitter(pkt)
+			cs.probe.observeJitter(d.SentNS)
 		}
 	}
 }
 
-// observeJitter folds one Data packet into the RFC 3550 interarrival-jitter
-// estimator: J += (|D| − J)/16 where D is the change in (arrival − send)
-// transit time between consecutive packets. Clock offset between client and
-// server cancels in the difference, so no synchronisation is needed.
-func (p *UDPProbe) observeJitter(pkt []byte) {
-	// Both probe-datagram generations carry the send timestamp; only the
-	// frame around it differs.
-	var sentNS uint64
-	if pkt[2] == wire.Version2 {
-		var d2 wire.Data2
-		if d2.Decode(pkt) != nil {
-			return
-		}
-		sentNS = d2.SentNS
-	} else {
-		var d wire.Data
-		if d.Decode(pkt) != nil {
-			return
-		}
-		sentNS = d.SentNS
-	}
+// observeJitter folds one probe datagram's send timestamp into the RFC 3550
+// interarrival-jitter estimator: J += (|D| − J)/16 where D is the change in
+// (arrival − send) transit time between consecutive packets. Clock offset
+// between client and server cancels in the difference, so no
+// synchronisation is needed.
+func (p *UDPProbe) observeJitter(sentNS uint64) {
 	transit := time.Now().UnixNano() - int64(sentNS)
 	prev := p.lastTransit.Swap(transit)
 	if prev == 0 {
@@ -681,9 +559,7 @@ func (p *UDPProbe) detectLostSessions() {
 	p.mu.Unlock()
 	for _, sess := range toClose {
 		sess.conn.Close() // unblocks the receive loop
-		if sess.ctrl != nil {
-			sess.ctrl.Close() // unblocks the control loop
-		}
+		sess.ctrl.Close() // unblocks the control loop
 	}
 }
 
@@ -708,8 +584,8 @@ func (p *UDPProbe) ServersLost() int {
 }
 
 // Finish reports the result to every session's server and closes the probe:
-// a Fin on v1 sessions, a Bye (retransmitted until acked) carrying the
-// estimator family on v2 ones.
+// each live session gets a Bye (retransmitted until acked) carrying the
+// estimator family.
 func (p *UDPProbe) Finish(resultMbps float64, duration time.Duration) {
 	if p.closed.Swap(true) {
 		return
@@ -718,27 +594,13 @@ func (p *UDPProbe) Finish(resultMbps float64, duration time.Duration) {
 	sessions := append([]*clientSession(nil), p.sessions...)
 	est, regime := p.finalEst, p.finalRegime
 	p.mu.Unlock()
-	fin := wire.Fin{
-		TestID:     p.testID,
-		ResultKbps: wire.KbpsFromMbps(resultMbps),
-		DurationMS: uint32(duration.Milliseconds()),
-	}
-	buf := fin.AppendTo(make([]byte, 0, wire.FinLen))
 	for _, sess := range sessions {
 		if !sess.lost {
-			if sess.v2 {
-				p.sendBye(sess, resultMbps, duration, est, regime)
-			} else {
-				_, _ = sess.conn.Write(buf)
-			}
+			p.sendBye(sess, resultMbps, duration, est, regime)
 		}
 		sess.conn.Close()
-		if sess.ctrl != nil {
-			sess.ctrl.Close()
-		}
+		sess.ctrl.Close()
 		<-sess.done
-		if sess.ctrlDone != nil {
-			<-sess.ctrlDone
-		}
+		<-sess.ctrlDone
 	}
 }

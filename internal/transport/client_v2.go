@@ -12,60 +12,26 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// Protocol v2 client side: the control/data channel split.
+// Client session: the control/data channel split.
 //
 // The client opens two sockets per server — a control socket for the
 // handshake, rate updates, server Reports and the final Bye, and a data
 // socket that receives nothing but paced probe datagrams. Splitting them
 // means a probe flood can never queue a rate update or a Report behind
-// megabytes of buffered Data, which is exactly what happens to v1 under
-// deep downstream buffers.
+// megabytes of buffered data under deep downstream buffers.
 
-// Protocol selects the wire generation the client speaks.
+// Protocol names the wire generation a probe speaks. The client and server
+// speak exactly one generation, so ProtoAuto is the only value.
 type Protocol uint8
 
-const (
-	// ProtoAuto negotiates v2 and falls back to the v1 single-socket
-	// handshake when the server never answers the Hello. The default.
-	ProtoAuto Protocol = iota
-	// ProtoV1 skips negotiation and speaks the legacy protocol.
-	ProtoV1
-	// ProtoV2 requires v2: a legacy server is an error
-	// (errdefs.ErrProtocolUnsupported), not a fallback.
-	ProtoV2
-)
+// ProtoAuto is the one wire generation: the two-channel session protocol.
+const ProtoAuto Protocol = 0
 
-// String names the protocol selection for logs and CLI flags.
-func (p Protocol) String() string {
-	switch p {
-	case ProtoAuto:
-		return "auto"
-	case ProtoV1:
-		return "v1"
-	case ProtoV2:
-		return "v2"
-	}
-	return fmt.Sprintf("protocol(%d)", uint8(p))
-}
+// SetProtocol is a no-op kept for source compatibility: every probe speaks
+// the one wire generation ProtoAuto names.
+func (p *UDPProbe) SetProtocol(Protocol) {}
 
-// ParseProtocol maps a CLI flag value onto a Protocol.
-func ParseProtocol(s string) (Protocol, error) {
-	switch s {
-	case "auto", "":
-		return ProtoAuto, nil
-	case "v1", "1":
-		return ProtoV1, nil
-	case "v2", "2":
-		return ProtoV2, nil
-	}
-	return ProtoAuto, fmt.Errorf("transport: unknown protocol %q (want auto, v1 or v2)", s)
-}
-
-// SetProtocol selects the wire generation the probe speaks. Call before the
-// first SetRate; the default is ProtoAuto.
-func (p *UDPProbe) SetProtocol(proto Protocol) { p.proto = proto }
-
-// SetToken attaches the dispatcher-lease auth token carried by every v2
+// SetToken attaches the dispatcher-lease auth token carried by every
 // Setup. Call before the first SetRate; servers running without an auth key
 // ignore it.
 func (p *UDPProbe) SetToken(t wire.Token) { p.token = t }
@@ -80,36 +46,28 @@ func (p *UDPProbe) SetFinalReport(est estimate.Estimates, regime estimate.Regime
 	p.mu.Unlock()
 }
 
-// NegotiatedVersion reports the wire generation the probe's sessions
-// negotiated: 2 once any session runs the two-channel protocol, 1 when every
-// session fell back to (or asked for) the legacy protocol, 0 before the
-// first session opens.
+// NegotiatedVersion reports the wire version the probe's sessions
+// negotiated: wire.Version2 once any session has opened, 0 before.
 func (p *UDPProbe) NegotiatedVersion() uint8 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var ver uint8
-	for _, sess := range p.sessions {
-		if sess.v2 {
-			return 2
-		}
-		ver = 1
+	if len(p.sessions) == 0 {
+		return 0
 	}
-	return ver
+	return wire.Version2
 }
 
 // ReportedLoss is the delivery-loss fraction observed through the server's
-// per-interval Reports, aggregated across v2 sessions: 1 − received/paced
-// bytes. It reads 0 until the first Report lands (v1 sessions, or
-// CapReports inactive) — absence of evidence is not loss.
+// per-interval Reports, aggregated across sessions: 1 − received/paced
+// bytes. It reads 0 until the first Report lands (or when CapReports is
+// inactive) — absence of evidence is not loss.
 func (p *UDPProbe) ReportedLoss() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var sent, rx uint64
 	for _, sess := range p.sessions {
-		if sess.v2 {
-			sent += sess.repBytes.Load()
-			rx += uint64(sess.rxBytes.Load())
-		}
+		sent += sess.repBytes.Load()
+		rx += uint64(sess.rxBytes.Load())
 	}
 	if sent == 0 || rx >= sent {
 		return 0
@@ -117,175 +75,95 @@ func (p *UDPProbe) ReportedLoss() float64 {
 	return 1 - float64(rx)/float64(sent)
 }
 
-// v2NegotiateAttempts bounds Hello retries before the client concludes the
-// server is a legacy deployment. Deliberately smaller than the session
-// handshake budget: a lost Hello costs a retry, a legacy server costs the
-// whole budget in fallback latency.
-const v2NegotiateAttempts = 2
-
 // sessionIDStride spreads per-session IDs across the 64-bit space from the
 // probe's random test ID (the golden-ratio multiplier, as in Fibonacci
 // hashing), so concurrent sessions from one probe never collide on the
 // server's ID-keyed table.
 const sessionIDStride = 0x9e3779b97f4a7c15
 
-// openV2SessionLocked dials one server over protocol v2: Hello/HelloAck
-// negotiation on a fresh control socket, lease-authenticated Setup, then a
-// second data socket bound to the session with DataOpen. Callers hold p.mu.
+// openSessionLocked dials one server: Hello/HelloAck negotiation on a fresh
+// control socket, lease-authenticated Setup, then a second data socket bound
+// to the session with DataOpen. Each step gets handshakeAttempts sends.
+// Callers hold p.mu.
 //
-// The error wraps errdefs.ErrProtocolUnsupported when the server never
-// answered the Hello — the ProtoAuto caller falls back to v1 on exactly that
-// condition — and errdefs.ErrAuthRejected when the server refused the lease
-// token, which no retry or fallback can fix.
-func (p *UDPProbe) openV2SessionLocked(server PoolServer) (*clientSession, error) {
+// The error wraps errdefs.ErrProbeTimeout when a step went unanswered and
+// errdefs.ErrAuthRejected when the server refused the lease token, which no
+// retry can fix.
+func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) {
+	fail := func(err error, conns ...*net.UDPConn) (*clientSession, error) {
+		for _, c := range conns {
+			c.Close()
+		}
+		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+	}
 	raddr, err := net.ResolveUDPAddr("udp", server.Addr)
 	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		return fail(err)
 	}
 	ctrl, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		return fail(err)
 	}
 
 	nonce := uint64(time.Now().UnixNano()) ^ p.testID
-	buf := make([]byte, 2048)
-
-	// Version negotiation. A legacy server fails PeekVersion on the Hello
-	// and stays silent, so silence past the (short) retry budget means v1.
 	hello := wire.Hello{
-		MinVersion: wire.Version, MaxVersion: wire.Version2,
+		MinVersion: wire.Version2, MaxVersion: wire.Version2,
 		Caps: wire.ServerCaps, Nonce: nonce,
 	}
-	helloBuf := hello.AppendTo(make([]byte, 0, wire.HelloLen))
-	var ack wire.HelloAck
-	negotiated := false
-	for attempt := 0; attempt < v2NegotiateAttempts && !negotiated; attempt++ {
-		if err := p.handshakeCtxErr(server, ctrl); err != nil {
-			return nil, err
-		}
-		if _, err := ctrl.Write(helloBuf); err != nil {
-			ctrl.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-		}
-		_ = ctrl.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		for {
-			n, err := ctrl.Read(buf)
-			if err != nil {
-				break
-			}
-			if ack.Decode(buf[:n]) == nil && ack.Nonce == nonce && ack.Version == wire.Version2 {
-				negotiated = true
-				break
-			}
-		}
-	}
-	if !negotiated {
-		ctrl.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-			Err: fmt.Errorf("no hello-ack after %d attempts: %w",
-				v2NegotiateAttempts, errdefs.ErrProtocolUnsupported)}
+	err = p.handshakeStep(server, ctrl, hello.AppendTo(make([]byte, 0, wire.HelloLen)), "hello-ack",
+		func(b []byte) (bool, error) {
+			var ack wire.HelloAck
+			return ack.Decode(b) == nil && ack.Nonce == nonce && ack.Version == wire.Version2, nil
+		})
+	if err != nil {
+		return fail(err, ctrl)
 	}
 
 	// Session setup under the lease token. An explicit SetupReject
 	// short-circuits the retry budget — policy refusals don't melt away.
 	sid := p.testID ^ (uint64(p.used)+1)*sessionIDStride
 	setup := wire.Setup{SessionID: sid, RateKbps: 0, Token: p.token}
-	setupBuf := setup.AppendTo(make([]byte, 0, wire.SetupLen))
 	var sack wire.SetupAck
-	admitted := false
-	for attempt := 0; attempt < handshakeAttempts && !admitted; attempt++ {
-		if err := p.handshakeCtxErr(server, ctrl); err != nil {
-			return nil, err
-		}
-		if attempt > 0 {
-			p.retryCounter.Inc()
-			p.trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
-		}
-		if _, err := ctrl.Write(setupBuf); err != nil {
-			ctrl.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-		}
-		_ = ctrl.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		for {
-			n, err := ctrl.Read(buf)
-			if err != nil {
-				break
-			}
+	err = p.handshakeStep(server, ctrl, setup.AppendTo(make([]byte, 0, wire.SetupLen)), "setup-ack",
+		func(b []byte) (bool, error) {
 			var rej wire.SetupReject
-			if rej.Decode(buf[:n]) == nil && rej.SessionID == sid {
-				ctrl.Close()
+			if rej.Decode(b) == nil && rej.SessionID == sid {
 				if rej.Code == wire.RejectAuth {
-					return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-						Err: errdefs.ErrAuthRejected}
+					return false, errdefs.ErrAuthRejected
 				}
-				return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-					Err: fmt.Errorf("setup rejected (code %d)", rej.Code)}
+				return false, fmt.Errorf("setup rejected (code %d)", rej.Code)
 			}
-			if sack.Decode(buf[:n]) == nil && sack.SessionID == sid {
-				admitted = true
-				break
-			}
-		}
+			return sack.Decode(b) == nil && sack.SessionID == sid, nil
+		})
+	if err != nil {
+		return fail(err, ctrl)
 	}
-	if !admitted {
-		ctrl.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-			Err: fmt.Errorf("no setup-ack after %d attempts: %w",
-				handshakeAttempts, errdefs.ErrProbeTimeout)}
-	}
-	_ = ctrl.SetReadDeadline(time.Time{})
 
 	// Data channel: a second socket, bound to the session by DataOpen so
 	// the server learns where to pace.
 	data, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
-		ctrl.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		return fail(err, ctrl)
 	}
 	if err := data.SetReadBuffer(4 << 20); err != nil {
 		// Non-fatal: the default buffer just loses more under burst.
 		_ = err
 	}
 	do := wire.DataOpen{SessionID: sid, Nonce: nonce}
-	doBuf := do.AppendTo(make([]byte, 0, wire.DataOpenLen))
-	opened := false
-	for attempt := 0; attempt < handshakeAttempts && !opened; attempt++ {
-		if err := p.handshakeCtxErr(server, ctrl, data); err != nil {
-			return nil, err
-		}
-		if _, err := data.Write(doBuf); err != nil {
-			ctrl.Close()
-			data.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
-		}
-		_ = data.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		for {
-			n, err := data.Read(buf)
-			if err != nil {
-				break
-			}
+	err = p.handshakeStep(server, data, do.AppendTo(make([]byte, 0, wire.DataOpenLen)), "data-open-ack",
+		func(b []byte) (bool, error) {
 			var doa wire.DataOpenAck
-			if doa.Decode(buf[:n]) == nil && doa.SessionID == sid {
-				opened = true
-				break
-			}
-		}
+			return doa.Decode(b) == nil && doa.SessionID == sid, nil
+		})
+	if err != nil {
+		return fail(err, ctrl, data)
 	}
-	if !opened {
-		ctrl.Close()
-		data.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-			Err: fmt.Errorf("no data-open-ack after %d attempts: %w",
-				handshakeAttempts, errdefs.ErrProbeTimeout)}
-	}
-	_ = data.SetReadDeadline(time.Time{})
 
 	sess := &clientSession{
 		conn:     data,
 		ctrl:     ctrl,
 		server:   server,
 		probe:    p,
-		v2:       true,
 		id:       sid,
 		caps:     sack.Caps,
 		done:     make(chan struct{}),
@@ -294,24 +172,48 @@ func (p *UDPProbe) openV2SessionLocked(server PoolServer) (*clientSession, error
 		tracker:  faults.NewLostTracker(p.lostAfter),
 	}
 	p.used++
-	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 2, server.UplinkMbps, server.Addr)
+	p.trace.Record(p.Elapsed(), obs.EventServerAdd, float64(wire.Version2), server.UplinkMbps, server.Addr)
 	go sess.receiveLoop()
 	go sess.ctrlLoop()
 	return sess, nil
 }
 
-// handshakeCtxErr folds a cancelled probe context into the handshake error
-// shape, closing the sockets opened so far.
-func (p *UDPProbe) handshakeCtxErr(server PoolServer, conns ...*net.UDPConn) error {
-	err := p.ctx.Err()
-	if err == nil {
-		return nil
+// handshakeStep sends req on conn up to handshakeAttempts times, waiting
+// handshakeTimeout after each send for a reply that match accepts. match
+// reports true once the awaited reply arrived, or an error to abort the
+// handshake on an explicit refusal. Cancellation of the probe's context
+// aborts between attempts. Resends count as handshake retries.
+func (p *UDPProbe) handshakeStep(server PoolServer, conn *net.UDPConn, req []byte, awaited string,
+	match func([]byte) (bool, error)) error {
+	buf := make([]byte, 2048)
+	for attempt := 0; attempt < handshakeAttempts; attempt++ {
+		if err := p.ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)
+		}
+		if attempt > 0 {
+			p.retryCounter.Inc()
+			p.trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
+		}
+		if _, err := conn.Write(req); err != nil {
+			return err
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+		for {
+			n, err := conn.Read(buf)
+			if err != nil {
+				break
+			}
+			done, err := match(buf[:n])
+			if err != nil {
+				return err
+			}
+			if done {
+				_ = conn.SetReadDeadline(time.Time{})
+				return nil
+			}
+		}
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-		Err: fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)}
+	return fmt.Errorf("no %s after %d attempts: %w", awaited, handshakeAttempts, errdefs.ErrProbeTimeout)
 }
 
 // ctrlLoop drains the session's control socket: per-interval server Reports
@@ -357,7 +259,7 @@ func (cs *clientSession) ctrlLoop() {
 // byeAttempts bounds Bye retransmissions during teardown.
 const byeAttempts = 3
 
-// sendBye runs the reliable v2 teardown: the Bye carries the headline result
+// sendBye runs the reliable teardown: the Bye carries the headline result
 // plus — on CapEstimates sessions — the estimator family and BDP regime, and
 // is retransmitted until the ByeAck lands or the budget runs out.
 func (p *UDPProbe) sendBye(sess *clientSession, resultMbps float64, duration time.Duration,

@@ -55,59 +55,26 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 	}
 	defer srv.Close()
 
-	conns := make([]*net.UDPConn, sc.sessions)
-	for i := range conns {
-		conn, err := net.DialUDP("udp", nil, srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		_ = conn.SetReadBuffer(4 << 20)
-		conns[i] = conn
-		handshake(t, conn, uint64(100+i), sc.rateKbps)
+	sessions := make([]testSession, sc.sessions)
+	for i := range sessions {
+		sessions[i] = openSession(t, srv, uint64(100+i), sc.rateKbps, wire.Token{})
 	}
 	waitSessions(t, srv, sc.sessions)
 
 	for k := 1; k <= sc.ticks; k++ {
 		if sc.rekbps != 0 && k == sc.ticks/2 {
-			rs := wire.RateSet{TestID: 100, RateKbps: sc.rekbps, Seq: 1}
-			buf := rs.AppendTo(make([]byte, 0, wire.RateSetLen))
-			if _, err := conns[0].Write(buf); err != nil {
-				t.Fatal(err)
-			}
-			waitRate(t, srv, conns[0], 100, sc.rekbps)
+			r := wire.Rate2{SessionID: sessions[0].id, RateKbps: sc.rekbps, Seq: 1}
+			sessions[0].send(t, r.AppendTo(nil))
+			waitRate(t, srv, sessions[0].id, sc.rekbps)
 		}
 		srv.advance(identityBase.Add(time.Duration(k) * paceInterval))
 	}
 
 	capd := wireCapture{streams: make([][][]byte, sc.sessions)}
-	for i, conn := range conns {
-		capd.streams[i] = drainData(t, conn)
+	for i, ts := range sessions {
+		capd.streams[i] = drainData(t, ts.data)
 	}
 	return capd
-}
-
-// handshake performs the TestRequest/TestAccept exchange on conn.
-func handshake(t *testing.T, conn *net.UDPConn, testID uint64, rateKbps uint32) {
-	t.Helper()
-	req := wire.TestRequest{TestID: testID, RateKbps: rateKbps}
-	reqBuf := req.AppendTo(make([]byte, 0, wire.TestRequestLen))
-	buf := make([]byte, 256)
-	for attempt := 0; attempt < 10; attempt++ {
-		if _, err := conn.Write(reqBuf); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue
-		}
-		var acc wire.TestAccept
-		if acc.Decode(buf[:n]) == nil && acc.TestID == testID {
-			return
-		}
-	}
-	t.Fatal("no TestAccept")
 }
 
 // waitSessions blocks until the server has n registered sessions.
@@ -122,28 +89,27 @@ func waitSessions(t *testing.T, srv *Server, n int) {
 	}
 }
 
-// waitRate blocks until the server applied the given rate to the session
-// behind conn — RateSet travels through the real read loop, so the scripted
-// wheel must not advance past it before it lands.
-func waitRate(t *testing.T, srv *Server, conn *net.UDPConn, testID uint64, kbps uint32) {
+// waitRate blocks until the server applied the given rate to the session —
+// Rate2 travels through the real read loop, so the scripted wheel must not
+// advance past it before it lands.
+func waitRate(t *testing.T, srv *Server, id uint64, kbps uint32) {
 	t.Helper()
-	key := sessionKey{addr: conn.LocalAddr().String(), testID: testID}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		srv.mu.Lock()
-		sess := srv.sessions[key]
+		sess := srv.byID[id]
 		srv.mu.Unlock()
 		if sess != nil && sess.rateKbps.Load() == kbps {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rate %d not applied to session %d", kbps, testID)
+			t.Fatalf("rate %d not applied to session %d", kbps, id)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// drainData reads every Data datagram queued on conn until the socket goes
+// drainData reads every Data2 datagram queued on conn until the socket goes
 // quiet, returning the raw bytes in arrival order.
 func drainData(t *testing.T, conn *net.UDPConn) [][]byte {
 	t.Helper()
@@ -155,7 +121,8 @@ func drainData(t *testing.T, conn *net.UDPConn) [][]byte {
 		if err != nil {
 			return out
 		}
-		if typ, err := wire.PeekType(buf[:n]); err == nil && typ == wire.TypeData {
+		var d wire.Data2
+		if d.Decode(buf[:n]) == nil {
 			out = append(out, append([]byte(nil), buf[:n]...))
 		}
 	}
@@ -212,7 +179,7 @@ func TestBatchedFallbackBitIdentity(t *testing.T) {
 	seqs := map[uint32]bool{}
 	var maxSeq uint32
 	for _, pkt := range batched.streams[0] {
-		var d wire.Data
+		var d wire.Data2
 		if err := d.Decode(pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +228,7 @@ func samplesFromCapture(t *testing.T, capd wireCapture) []float64 {
 	maxWin := 0
 	for _, stream := range capd.streams {
 		for _, pkt := range stream {
-			var d wire.Data
+			var d wire.Data2
 			if err := d.Decode(pkt); err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +289,7 @@ func TestScriptedFaultSequenceStable(t *testing.T) {
 		capd := runScripted(t, WireAuto, sc)
 		got := ""
 		for _, pkt := range capd.streams[0] {
-			var d wire.Data
+			var d wire.Data2
 			if err := d.Decode(pkt); err != nil {
 				t.Fatal(err)
 			}

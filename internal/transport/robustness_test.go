@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -37,34 +38,24 @@ func TestServerSurvivesGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := PingServer(s.Addr().String(), 2, time.Second); err != nil {
+	if _, err := PingServerContext(context.Background(), s.Addr().String(), 2, time.Second); err != nil {
 		t.Fatalf("server unresponsive after garbage: %v", err)
 	}
 }
 
 // TestIdleSessionReaped verifies that a session whose client vanishes
-// without a Fin is cleaned up by the idle timeout.
+// without a Bye is cleaned up by the idle timeout.
 func TestIdleSessionReaped(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10, IdleTimeout: 300 * time.Millisecond})
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Handshake manually, then disappear.
-	req := wire.TestRequest{TestID: 42, RateKbps: wire.KbpsFromMbps(1)}
-	if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.ActiveSessions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Handshake, then disappear.
+	ts := openSession(t, s, 42, wire.KbpsFromMbps(1), wire.Token{})
 	if s.ActiveSessions() == 0 {
 		t.Fatal("session never started")
 	}
-	conn.Close() // the client is gone; no Fin will ever arrive
+	ts.ctrl.Close() // the client is gone; no Bye will ever arrive
+	ts.data.Close()
 
-	deadline = time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -81,7 +72,7 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 50}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(5)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,64 +103,68 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 // confirms the newest seq wins.
 func TestRateSetReorderingIgnoresStale(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	req := wire.TestRequest{TestID: 7, RateKbps: 0}
-	if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
+	ts := openSession(t, s, 7, 0, wire.Token{})
 
 	// Newest first (seq 3, 20 Mbps), then a stale one (seq 2, 90 Mbps).
-	rs3 := wire.RateSet{TestID: 7, RateKbps: wire.KbpsFromMbps(20), Seq: 3}
-	rs2 := wire.RateSet{TestID: 7, RateKbps: wire.KbpsFromMbps(90), Seq: 2}
-	conn.Write(rs3.AppendTo(nil))
+	r3 := wire.Rate2{SessionID: ts.id, RateKbps: wire.KbpsFromMbps(20), Seq: 3}
+	r2 := wire.Rate2{SessionID: ts.id, RateKbps: wire.KbpsFromMbps(90), Seq: 2}
+	ts.send(t, r3.AppendTo(nil))
 	time.Sleep(20 * time.Millisecond)
-	conn.Write(rs2.AppendTo(nil))
+	ts.send(t, r2.AppendTo(nil))
 
 	// Measure the arrival rate for half a second; it must track 20, not 90.
 	time.Sleep(100 * time.Millisecond)
 	var bytes int
 	buf := make([]byte, 2048)
 	end := time.Now().Add(500 * time.Millisecond)
-	_ = conn.SetReadDeadline(end)
+	_ = ts.data.SetReadDeadline(end)
 	for {
-		n, err := conn.Read(buf)
+		n, err := ts.data.Read(buf)
 		if err != nil {
 			break
 		}
-		if typ, err := wire.PeekType(buf[:n]); err == nil && typ == wire.TypeData {
+		var d wire.Data2
+		if d.Decode(buf[:n]) == nil {
 			bytes += n
 		}
 	}
 	gotMbps := float64(bytes) * 8 / 0.5 / 1e6
 	if gotMbps > 40 {
-		t.Errorf("stale RateSet won: measured %.1f Mbps, want ≈20", gotMbps)
+		t.Errorf("stale rate update won: measured %.1f Mbps, want ≈20", gotMbps)
 	}
-	fin := wire.Fin{TestID: 7}
-	conn.Write(fin.AppendTo(nil))
+	if gotMbps == 0 {
+		t.Error("no traffic at the newest rate")
+	}
+	bye := wire.Bye{SessionID: ts.id}
+	ts.send(t, bye.AppendTo(nil))
 }
 
-// TestDuplicateTestRequestIsIdempotent retransmits the handshake and checks
-// only one session exists.
+// TestDuplicateTestRequestIsIdempotent retransmits the session Setup and
+// checks only one session exists.
 func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10})
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := wire.TestRequest{TestID: 9, RateKbps: wire.KbpsFromMbps(1)}
+	ts := openSession(t, s, 9, wire.KbpsFromMbps(1), wire.Token{})
+	setup := wire.Setup{SessionID: ts.id, RateKbps: wire.KbpsFromMbps(1)}
 	for i := 0; i < 5; i++ {
-		if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-			t.Fatal(err)
+		ts.send(t, setup.AppendTo(nil))
+	}
+	// Every retransmit is re-acked for the one session.
+	buf := make([]byte, 256)
+	acks := 0
+	_ = ts.ctrl.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	for acks < 5 {
+		n, err := ts.ctrl.Read(buf)
+		if err != nil {
+			break
+		}
+		var ack wire.SetupAck
+		if ack.Decode(buf[:n]) == nil && ack.SessionID == ts.id {
+			acks++
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
+	if acks != 5 {
+		t.Errorf("SetupAcks for duplicate Setups = %d, want 5", acks)
+	}
 	if n := s.ActiveSessions(); n != 1 {
 		t.Errorf("sessions = %d after duplicate requests, want 1", n)
 	}
@@ -180,7 +175,7 @@ func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 func TestJitterObserved(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 50})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 50}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(9)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,8 @@ const DatagramSize = 1200
 // bytes corresponding to every session's current probing rate.
 const paceInterval = 5 * time.Millisecond
 
-// DefaultIdleTimeout reaps sessions whose client vanished without Fin.
+// DefaultIdleTimeout reaps sessions whose client vanished without a Bye, and
+// Hello state whose client never sent a Setup.
 const DefaultIdleTimeout = 10 * time.Second
 
 // recvBatch is how many datagrams the server's read loop accepts per
@@ -69,7 +70,7 @@ type ServerConfig struct {
 	// OnResult, if non-nil, is invoked with each client-reported test
 	// result (Mbps) — the feed for periodic bandwidth-model refresh (§5.1).
 	OnResult func(mbps float64)
-	// IdleTimeout reaps sessions whose client vanished without a Fin; zero
+	// IdleTimeout reaps sessions whose client vanished without a Bye; zero
 	// selects DefaultIdleTimeout.
 	IdleTimeout time.Duration
 	// Metrics, when non-nil, receives the server's operational metrics
@@ -84,23 +85,18 @@ type ServerConfig struct {
 	// for deployments, WireFallback exists for equivalence testing and
 	// debugging.
 	Wire WireMode
-	// AuthKey, when non-zero, requires every protocol-v2 session setup to
-	// carry a token minted under this key by the fleet dispatcher
-	// (wire.MintToken); setups with absent or forged tokens are rejected
-	// with wire.RejectAuth and counted in
-	// swiftest_server_auth_rejects_total. Protocol-v1 clients predate the
-	// token exchange and are admitted regardless — the fallback path stays
-	// open so legacy clients keep working during a fleet upgrade.
+	// AuthKey, when non-zero, requires every session Setup to carry a
+	// token minted under this key by the fleet dispatcher (wire.MintToken);
+	// setups with absent, forged or expired tokens are rejected with
+	// wire.RejectAuth and counted in swiftest_server_auth_rejects_total.
+	// Setup is the only way to open a session, so no client is paced
+	// without a verified token.
 	AuthKey uint64
 	// startedAt, when non-zero, pins the server's epoch — the base for
 	// fault-plan times and datagram timestamps. Test-only (unexported):
 	// scripted wheel schedules set it before the read loop starts so the
 	// override never races a live packet.
 	startedAt time.Time
-	// v1Only, when true, drops every v2 frame so the server behaves like a
-	// legacy deployment. Test-only (unexported): exercises the client's
-	// negotiated fallback without building an old binary.
-	v1Only bool
 }
 
 // Server is a Swiftest UDP test server.
@@ -118,11 +114,10 @@ type Server struct {
 	wheelStop chan struct{}
 
 	mu         sync.Mutex
-	sessions   map[sessionKey]*session // guarded by mu
-	byID       map[uint64]*session     // v2 sessions by session ID; guarded by mu
-	helloCaps  map[string]uint32       // per-address negotiated caps from the last Hello; guarded by mu
-	order      []*session              // registration order, for deterministic wheel iteration; guarded by mu
-	hsAttempts map[sessionKey]int      // handshake datagrams seen per key, for fault draws; guarded by mu
+	byID       map[uint64]*session  // live sessions by session ID; guarded by mu
+	helloCaps  map[string]helloCaps // negotiated caps per Hello source awaiting its Setup; guarded by mu
+	order      []*session           // registration order, for deterministic wheel iteration; guarded by mu
+	hsAttempts map[uint64]int       // Setup datagrams seen per session ID, for fault draws; guarded by mu
 
 	// Wheel-goroutine scratch, reused every tick so the steady state runs at
 	// 0 allocs/packet.
@@ -130,6 +125,8 @@ type Server struct {
 	msgs    []batchio.Message
 	msgBufs []*pktBuf
 	bufs    []*pktBuf
+	// helloSweep is when the wheel next expires unanswered Hello state.
+	helloSweep time.Time
 
 	// ctl is the read loop's single-message scratch for control replies.
 	ctl [1]batchio.Message
@@ -137,27 +134,26 @@ type Server struct {
 	bytesSent atomic.Int64
 }
 
-type sessionKey struct {
-	addr   string
-	testID uint64
+// helloCaps is the capability set one Hello negotiated, held until the
+// sender's Setup claims it or the wheel expires it.
+type helloCaps struct {
+	caps uint32
+	seen int64 // unix nanos of the Hello
 }
 
 type session struct {
-	key    sessionKey
-	testID uint64
-	// peer is the address probe datagrams are paced to. v1 sessions set it
-	// at creation; v2 sessions publish with nil and store the data-channel
-	// address when the client's DataOpen arrives, hence the atomic — the
-	// wheel skips the session until the pointer lands.
+	// peer is the address probe datagrams are paced to. Sessions publish
+	// with nil and store the data-channel address when the client's
+	// DataOpen arrives, hence the atomic — the wheel skips the session
+	// until the pointer lands.
 	peer     atomic.Pointer[net.UDPAddr]
 	rateKbps atomic.Uint32
 	rateSeq  atomic.Uint32
 	lastSeen atomic.Int64 // unix nanos
 	retired  atomic.Bool  // exactly-once wheel deregistration
 
-	// Protocol v2 identity, immutable after creation.
-	v2       bool
-	id       uint64       // v2 session ID (key.testID carries it too)
+	// Identity, immutable after creation.
+	id       uint64       // session ID, the key both channels share
 	caps     uint32       // active capability set
 	ctrlPeer *net.UDPAddr // control-channel address (reports, acks)
 
@@ -208,10 +204,9 @@ func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) 
 		bio:        batchio.New(conn, mode),
 		pool:       newBufPool(segsPerBuf*DatagramSize, 4),
 		cfg:        cfg,
-		sessions:   make(map[sessionKey]*session),
 		byID:       make(map[uint64]*session),
-		helloCaps:  make(map[string]uint32),
-		hsAttempts: make(map[sessionKey]int),
+		helloCaps:  make(map[string]helloCaps),
+		hsAttempts: make(map[uint64]int),
 		started:    time.Now(),
 		wheelStop:  make(chan struct{}),
 	}
@@ -243,7 +238,7 @@ func (s *Server) BytesSent() int64 { return s.bytesSent.Load() }
 func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	return len(s.byID)
 }
 
 // Close stops the server and retires all sessions.
@@ -311,65 +306,6 @@ func (s *Server) readLoop() {
 	}
 }
 
-// handlePacket dispatches one inbound datagram. peer points into reused
-// batch storage: handlers that keep it beyond this call clone it. out is the
-// reply scratch buffer, returned so the read loop can keep reusing it.
-func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte {
-	ver, typ, err := wire.PeekVersion(pkt)
-	if err != nil {
-		return out // not ours; drop silently
-	}
-	if s.cfg.Faults.Blackout(s.elapsed()) {
-		// A blacked-out server is dead to the world: every inbound
-		// datagram vanishes, exactly like a crashed process.
-		s.metrics.faultsInjected.Inc()
-		return out
-	}
-	if ver == wire.Version2 {
-		if s.cfg.v1Only {
-			return out // legacy server: v2 frames mean nothing, negotiation times out
-		}
-		return s.handleV2(typ, pkt, peer, out[:0])
-	}
-	out = out[:0]
-	switch typ {
-	case wire.TypePing:
-		var ping wire.Ping
-		if ping.Decode(pkt) == nil {
-			s.metrics.pings.Inc()
-			pong := wire.Pong{Seq: ping.Seq, EchoNS: ping.SentNS}
-			out = pong.AppendTo(out)
-			s.sendPong(out, peer)
-		}
-	case wire.TypeTestRequest:
-		var req wire.TestRequest
-		if req.Decode(pkt) == nil {
-			if s.dropHandshake(&req, peer) {
-				s.metrics.faultsInjected.Inc()
-				return out
-			}
-			s.handleTestRequest(&req, peer)
-			acc := wire.TestAccept{TestID: req.TestID}
-			out = acc.AppendTo(out)
-			s.sendControl(out, peer)
-		}
-	case wire.TypeRateSet:
-		var rs wire.RateSet
-		if rs.Decode(pkt) == nil {
-			s.handleRateSet(&rs, peer)
-		}
-	case wire.TypeFin:
-		var fin wire.Fin
-		if fin.Decode(pkt) == nil {
-			s.handleFin(&fin, peer)
-			ack := wire.FinAck{TestID: fin.TestID}
-			out = ack.AppendTo(out)
-			s.sendControl(out, peer)
-		}
-	}
-	return out
-}
-
 // sendControl routes one control datagram through the batch sender, the
 // single code path for every server wire send: a failed write increments
 // send-errors instead of vanishing. Control messages are shorter than the
@@ -412,52 +348,13 @@ func (s *Server) sendPong(out []byte, peer *net.UDPAddr) {
 	send()
 }
 
-// dropHandshake consults the fault plan for one TestRequest datagram,
-// numbering retransmissions per (peer, test) so probabilistic drops re-draw
-// per attempt.
-func (s *Server) dropHandshake(req *wire.TestRequest, peer *net.UDPAddr) bool {
-	if s.cfg.Faults == nil {
-		return false
-	}
-	key := sessionKey{addr: peer.String(), testID: req.TestID}
-	s.mu.Lock()
-	attempt := s.hsAttempts[key]
-	s.hsAttempts[key] = attempt + 1
-	s.mu.Unlock()
-	return s.cfg.Faults.DropHandshake(s.elapsed(), attempt)
-}
-
-func (s *Server) handleTestRequest(req *wire.TestRequest, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: req.TestID}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.sessions[key]; exists {
-		return // duplicate request (client retransmit); already running
-	}
-	sess := &session{key: key, testID: req.TestID}
-	sess.peer.Store(cloneUDPAddr(peer))
-	granted := s.clampRateLocked(req.RateKbps, nil)
-	if granted < req.RateKbps {
-		s.metrics.rateClamped.Inc()
-	}
-	sess.rateKbps.Store(granted)
-	sess.lastSeen.Store(time.Now().UnixNano())
-	s.sessions[key] = sess
-	s.order = append(s.order, sess)
-	s.metrics.sessionsStarted.Inc()
-	s.metrics.sessionsActive.Inc()
-	s.updatePacedGaugeLocked()
-	s.logf("test started", "peer", peer.String(), "test_id", req.TestID,
-		"rate_mbps", wire.MbpsFromKbps(req.RateKbps))
-}
-
 // clampRateLocked limits a session's rate so that the aggregate across all
 // sessions stays within the server uplink. except, when non-nil, is the
 // session whose rate is being replaced and is left out of the in-use sum.
 // Callers hold s.mu.
 func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
 	var inUse float64
-	for _, sess := range s.sessions {
+	for _, sess := range s.order {
 		if sess == except {
 			continue
 		}
@@ -471,32 +368,4 @@ func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
 		return wire.KbpsFromMbps(free)
 	}
 	return kbps
-}
-
-func (s *Server) handleRateSet(rs *wire.RateSet, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: rs.TestID}
-	s.mu.Lock()
-	sess := s.sessions[key]
-	s.mu.Unlock()
-	if sess == nil {
-		return
-	}
-	s.applyRate(sess, rs.RateKbps, rs.Seq)
-}
-
-func (s *Server) handleFin(fin *wire.Fin, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: fin.TestID}
-	s.mu.Lock()
-	sess := s.sessions[key]
-	s.mu.Unlock()
-	if sess == nil || !s.retire(sess) {
-		return // unknown or already retired: still FinAck'd by the caller
-	}
-	s.metrics.sessionsFinished.Inc()
-	s.metrics.resultMbps.Observe(wire.MbpsFromKbps(fin.ResultKbps))
-	if s.cfg.OnResult != nil {
-		s.cfg.OnResult(wire.MbpsFromKbps(fin.ResultKbps))
-	}
-	s.logf("test finished", "peer", peer.String(), "test_id", fin.TestID,
-		"result_mbps", wire.MbpsFromKbps(fin.ResultKbps))
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// Protocol v2 server side: the control/data channel split.
+// Server side of a session: the control/data channel split.
 //
 // Both channels arrive on the one server socket — the split is on the
 // client, which uses two sockets so probe floods never queue behind control
@@ -17,31 +17,59 @@ import (
 // destination. Until DataOpen lands the wheel paces nothing for the
 // session.
 
-// handleV2 dispatches one protocol-v2 control or data-channel datagram.
-// peer points into reused batch storage — handlers that keep it clone it.
-func (s *Server) handleV2(typ wire.Type, pkt []byte, peer *net.UDPAddr, out []byte) []byte {
+// handlePacket dispatches one inbound datagram and returns the reply it
+// sent, empty when it sent none. peer points into reused batch storage:
+// handlers that keep it clone it. out is the reply scratch buffer, returned
+// so the read loop can keep reusing it.
+//
+// Every decoder checks the version byte, so only a version-1 Ping and
+// version-2 session frames get past it: any other frame creates no state
+// and draws no reply.
+func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte {
+	out = out[:0]
+	_, typ, err := wire.PeekVersion(pkt)
+	if err != nil {
+		return out // not ours; drop silently
+	}
+	if s.cfg.Faults.Blackout(s.elapsed()) {
+		// A blacked-out server is dead to the world: every inbound
+		// datagram vanishes, exactly like a crashed process.
+		s.metrics.faultsInjected.Inc()
+		return out
+	}
 	switch typ {
+	case wire.TypePing:
+		var ping wire.Ping
+		if ping.Decode(pkt) != nil {
+			return out
+		}
+		s.metrics.pings.Inc()
+		pong := wire.Pong{Seq: ping.Seq, EchoNS: ping.SentNS}
+		out = pong.AppendTo(out)
+		s.sendPong(out, peer)
+
 	case wire.TypeHello:
 		var h wire.Hello
 		if h.Decode(pkt) != nil {
 			return out
 		}
 		if h.MinVersion > wire.Version2 || h.MaxVersion < wire.Version2 {
-			return out // no common version; the client falls back or gives up
+			return out // no common version; the client gives up
 		}
 		caps := h.Caps & wire.ServerCaps
 		s.mu.Lock()
-		s.helloCaps[peer.String()] = caps
+		s.helloCaps[peer.String()] = helloCaps{caps: caps, seen: time.Now().UnixNano()}
 		s.mu.Unlock()
 		ack := wire.HelloAck{Version: wire.Version2, Caps: caps, Nonce: h.Nonce}
-		s.sendControl(ack.AppendTo(out), peer)
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
 
 	case wire.TypeSetup:
 		var setup wire.Setup
 		if setup.Decode(pkt) != nil {
 			return out
 		}
-		if s.dropV2Handshake(setup.SessionID, peer) {
+		if s.dropHandshake(setup.SessionID) {
 			s.metrics.faultsInjected.Inc()
 			return out
 		}
@@ -55,21 +83,25 @@ func (s *Server) handleV2(typ wire.Type, pkt []byte, peer *net.UDPAddr, out []by
 				s.logf("session auth rejected", "peer", peer.String(),
 					"session_id", setup.SessionID, "expired", expired)
 				rej := wire.SetupReject{SessionID: setup.SessionID, Code: wire.RejectAuth}
-				s.sendControl(rej.AppendTo(out), peer)
+				out = rej.AppendTo(out)
+				s.sendControl(out, peer)
 				return out
 			}
 		}
-		if !s.handleSetup(&setup, peer) {
+		sess := s.handleSetup(&setup, peer)
+		if sess == nil {
 			rej := wire.SetupReject{SessionID: setup.SessionID, Code: wire.RejectBusy}
-			s.sendControl(rej.AppendTo(out), peer)
+			out = rej.AppendTo(out)
+			s.sendControl(out, peer)
 			return out
 		}
 		ack := wire.SetupAck{
 			SessionID:        setup.SessionID,
-			Caps:             s.capsFor(peer),
+			Caps:             sess.caps,
 			ReportIntervalMS: uint32(reportInterval.Milliseconds()),
 		}
-		s.sendControl(ack.AppendTo(out), peer)
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
 
 	case wire.TypeDataOpen:
 		var do wire.DataOpen
@@ -87,7 +119,8 @@ func (s *Server) handleV2(typ wire.Type, pkt []byte, peer *net.UDPAddr, out []by
 		sess.peer.Store(cloneUDPAddr(peer))
 		sess.lastSeen.Store(time.Now().UnixNano())
 		ack := wire.DataOpenAck{SessionID: do.SessionID}
-		s.sendControl(ack.AppendTo(out), peer)
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
 
 	case wire.TypeRate2:
 		var r wire.Rate2
@@ -106,58 +139,37 @@ func (s *Server) handleV2(typ wire.Type, pkt []byte, peer *net.UDPAddr, out []by
 		if bye.Decode(pkt) != nil {
 			return out
 		}
-		s.mu.Lock()
-		sess := s.byID[bye.SessionID]
-		s.mu.Unlock()
-		if sess != nil && s.retire(sess) {
-			s.metrics.sessionsFinished.Inc()
-			s.metrics.resultMbps.Observe(wire.MbpsFromKbps(bye.ResultKbps))
-			if s.cfg.OnResult != nil {
-				s.cfg.OnResult(wire.MbpsFromKbps(bye.ResultKbps))
-			}
-			s.logf("test finished", "peer", peer.String(), "session_id", bye.SessionID,
-				"result_mbps", wire.MbpsFromKbps(bye.ResultKbps),
-				"trimmed_mbps", wire.MbpsFromKbps(bye.TrimmedKbps),
-				"peak_mbps", wire.MbpsFromKbps(bye.PeakKbps),
-				"regime", bye.Regime)
-		}
+		s.handleBye(&bye, peer)
 		// Always ack, even for an unknown or already-retired session — the
 		// client may be retransmitting a Bye whose first ack was lost.
 		ack := wire.ByeAck{SessionID: bye.SessionID}
-		s.sendControl(ack.AppendTo(out), peer)
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
 	}
 	return out
 }
 
-// capsFor reads the capability set negotiated by the peer's last Hello,
-// defaulting to the full server set when the Hello was lost or skipped.
-func (s *Server) capsFor(peer *net.UDPAddr) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if caps, ok := s.helloCaps[peer.String()]; ok {
-		return caps
-	}
-	return wire.ServerCaps
-}
-
-// handleSetup registers a v2 session. Reports whether the session exists
-// (created now, or an idempotent duplicate Setup); false means a session-ID
-// collision with another client.
-func (s *Server) handleSetup(setup *wire.Setup, peer *net.UDPAddr) bool {
-	key := sessionKey{addr: peer.String(), testID: setup.SessionID}
+// handleSetup registers a session and returns it: created now, or the
+// existing one for a duplicate Setup from the same control address. It
+// returns nil on a session-ID collision with another client. The session
+// takes the capability set its sender's Hello negotiated — the full server
+// set when the Hello was lost or skipped — and the Hello state is released.
+func (s *Server) handleSetup(setup *wire.Setup, peer *net.UDPAddr) *session {
+	addr := peer.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing := s.byID[setup.SessionID]; existing != nil {
-		return existing.key == key // duplicate Setup re-acked; foreign ID rejected
+		if existing.ctrlPeer.String() != addr {
+			return nil // foreign ID
+		}
+		return existing // duplicate Setup, re-acked
 	}
 	caps := wire.ServerCaps
-	if c, ok := s.helloCaps[peer.String()]; ok {
-		caps = c
+	if h, ok := s.helloCaps[addr]; ok {
+		caps = h.caps
+		delete(s.helloCaps, addr)
 	}
 	sess := &session{
-		key:      key,
-		testID:   setup.SessionID,
-		v2:       true,
 		id:       setup.SessionID,
 		caps:     caps,
 		ctrlPeer: cloneUDPAddr(peer),
@@ -168,21 +180,40 @@ func (s *Server) handleSetup(setup *wire.Setup, peer *net.UDPAddr) bool {
 	}
 	sess.rateKbps.Store(granted)
 	sess.lastSeen.Store(time.Now().UnixNano())
-	s.sessions[key] = sess
 	s.byID[setup.SessionID] = sess
 	s.order = append(s.order, sess)
 	s.metrics.sessionsStarted.Inc()
-	s.metrics.v2Sessions.Inc()
 	s.metrics.sessionsActive.Inc()
 	s.updatePacedGaugeLocked()
-	s.logf("v2 test started", "peer", peer.String(), "session_id", setup.SessionID,
+	s.logf("test started", "peer", addr, "session_id", setup.SessionID,
 		"rate_mbps", wire.MbpsFromKbps(setup.RateKbps))
-	return true
+	return sess
 }
 
-// applyRate applies one rate update to a session with the shared
-// stale-rejection and uplink-clamp rules — the v2 counterpart of
-// handleRateSet, operating on an already-resolved session.
+// handleBye retires the session a Bye names and delivers its result. An
+// unknown or already-retired session is ignored: a retransmitted Bye, or a
+// reap or Close that got there first.
+func (s *Server) handleBye(bye *wire.Bye, peer *net.UDPAddr) {
+	s.mu.Lock()
+	sess := s.byID[bye.SessionID]
+	s.mu.Unlock()
+	if sess == nil || !s.retire(sess) {
+		return
+	}
+	s.metrics.sessionsFinished.Inc()
+	s.metrics.resultMbps.Observe(wire.MbpsFromKbps(bye.ResultKbps))
+	if s.cfg.OnResult != nil {
+		s.cfg.OnResult(wire.MbpsFromKbps(bye.ResultKbps))
+	}
+	s.logf("test finished", "peer", peer.String(), "session_id", bye.SessionID,
+		"result_mbps", wire.MbpsFromKbps(bye.ResultKbps),
+		"trimmed_mbps", wire.MbpsFromKbps(bye.TrimmedKbps),
+		"peak_mbps", wire.MbpsFromKbps(bye.PeakKbps),
+		"regime", bye.Regime)
+}
+
+// applyRate applies one rate update to a session with the stale-rejection
+// and uplink-clamp rules.
 func (s *Server) applyRate(sess *session, kbps, seq uint32) {
 	s.mu.Lock()
 	clamped := s.clampRateLocked(kbps, sess)
@@ -207,16 +238,27 @@ func (s *Server) applyRate(sess *session, kbps, seq uint32) {
 	s.mu.Unlock()
 }
 
-// dropV2Handshake consults the fault plan for one Setup datagram, numbering
-// retransmissions per (peer, session) like the v1 handshake path.
-func (s *Server) dropV2Handshake(sessionID uint64, peer *net.UDPAddr) bool {
+// dropHandshake consults the fault plan for one Setup datagram, numbering
+// retransmissions per session ID so probabilistic drops re-draw per
+// attempt. The count lives until the session retires.
+func (s *Server) dropHandshake(sessionID uint64) bool {
 	if s.cfg.Faults == nil {
 		return false
 	}
-	key := sessionKey{addr: peer.String(), testID: sessionID}
 	s.mu.Lock()
-	attempt := s.hsAttempts[key]
-	s.hsAttempts[key] = attempt + 1
+	attempt := s.hsAttempts[sessionID]
+	s.hsAttempts[sessionID] = attempt + 1
 	s.mu.Unlock()
 	return s.cfg.Faults.DropHandshake(s.elapsed(), attempt)
+}
+
+// expireHellosLocked drops Hello state older than the idle timeout: Hellos
+// whose sender never followed up with a Setup. Callers hold s.mu.
+func (s *Server) expireHellosLocked(now time.Time) {
+	cutoff := now.UnixNano() - int64(s.cfg.IdleTimeout)
+	for addr, h := range s.helloCaps {
+		if h.seen < cutoff {
+			delete(s.helloCaps, addr)
+		}
+	}
 }

@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
+	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
 func startServer(t *testing.T, cfg ServerConfig) *Server {
@@ -20,9 +23,78 @@ func startServer(t *testing.T, cfg ServerConfig) *Server {
 	return s
 }
 
+// testSession is one handcrafted client session: its control and data
+// sockets and the session ID both channels carry.
+type testSession struct {
+	ctrl, data *net.UDPConn
+	id         uint64
+}
+
+// openSession runs the Hello→Setup→DataOpen handshake against srv from a
+// fresh control/data socket pair, asking for rateKbps under tok, and returns
+// the open session. The sockets close when the test ends.
+func openSession(t testing.TB, srv *Server, id uint64, rateKbps uint32, tok wire.Token) testSession {
+	t.Helper()
+	ts := testSession{id: id}
+	for _, c := range []**net.UDPConn{&ts.ctrl, &ts.data} {
+		conn, err := net.DialUDP("udp", nil, srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadBuffer(4 << 20)
+		t.Cleanup(func() { conn.Close() })
+		*c = conn
+	}
+	exchange := func(conn *net.UDPConn, req []byte, accept func([]byte) bool) {
+		t.Helper()
+		buf := make([]byte, 2048)
+		for attempt := 0; attempt < 10; attempt++ {
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+			for {
+				n, err := conn.Read(buf)
+				if err != nil {
+					break
+				}
+				if accept(buf[:n]) {
+					_ = conn.SetReadDeadline(time.Time{})
+					return
+				}
+			}
+		}
+		t.Fatalf("session %d: no reply to %x", id, req[:wire.HeaderLen])
+	}
+	hello := wire.Hello{MinVersion: wire.Version2, MaxVersion: wire.Version2, Caps: wire.ServerCaps, Nonce: id}
+	exchange(ts.ctrl, hello.AppendTo(nil), func(b []byte) bool {
+		var ack wire.HelloAck
+		return ack.Decode(b) == nil && ack.Nonce == id
+	})
+	setup := wire.Setup{SessionID: id, RateKbps: rateKbps, Token: tok}
+	exchange(ts.ctrl, setup.AppendTo(nil), func(b []byte) bool {
+		var ack wire.SetupAck
+		return ack.Decode(b) == nil && ack.SessionID == id
+	})
+	open := wire.DataOpen{SessionID: id, Nonce: id}
+	exchange(ts.data, open.AppendTo(nil), func(b []byte) bool {
+		var ack wire.DataOpenAck
+		return ack.Decode(b) == nil && ack.SessionID == id
+	})
+	return ts
+}
+
+// send writes one encoded control frame on the session's control socket.
+func (ts testSession) send(t testing.TB, frame []byte) {
+	t.Helper()
+	if _, err := ts.ctrl.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPingPong(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	rtt, err := PingServer(s.Addr().String(), 3, time.Second)
+	rtt, err := PingServerContext(context.Background(), s.Addr().String(), 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +105,7 @@ func TestPingPong(t *testing.T) {
 
 func TestPingUnreachable(t *testing.T) {
 	// A port with no server: must time out, not hang.
-	if _, err := PingServer("127.0.0.1:1", 1, 100*time.Millisecond); err == nil {
+	if _, err := PingServerContext(context.Background(), "127.0.0.1:1", 1, 100*time.Millisecond); err == nil {
 		t.Error("expected error pinging an unreachable server")
 	}
 }
@@ -46,7 +118,7 @@ func TestRankByLatency(t *testing.T) {
 		{Addr: s1.Addr().String(), UplinkMbps: 100},
 		{Addr: s2.Addr().String(), UplinkMbps: 100},
 	}}
-	if err := pool.RankByLatency(2, 200*time.Millisecond); err != nil {
+	if err := pool.RankByLatencyContext(context.Background(), 2, 200*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if len(pool.Servers) != 2 {
@@ -61,7 +133,7 @@ func TestRankByLatency(t *testing.T) {
 
 func TestRankByLatencyAllDead(t *testing.T) {
 	pool := &ServerPool{Servers: []PoolServer{{Addr: "127.0.0.1:1", UplinkMbps: 100}}}
-	if err := pool.RankByLatency(1, 50*time.Millisecond); err == nil {
+	if err := pool.RankByLatencyContext(context.Background(), 1, 50*time.Millisecond); err == nil {
 		t.Error("expected error when every server is unreachable")
 	}
 }
@@ -86,7 +158,7 @@ func TestServersForCoversRate(t *testing.T) {
 func TestPacedDeliveryAtRequestedRate(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(1)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +189,7 @@ func TestPacedDeliveryAtRequestedRate(t *testing.T) {
 func TestServerClampsToUplink(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 10}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(2)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +216,7 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 	results := make(chan float64, 1)
 	s := startServer(t, ServerConfig{UplinkMbps: 100, OnResult: func(m float64) { results <- m }})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(3)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +232,14 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 			t.Errorf("reported result = %g, want 42.5", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("server never received the Fin result")
+		t.Fatal("server never received the Bye result")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := s.ActiveSessions(); n != 0 {
-		t.Errorf("active sessions = %d after Fin, want 0", n)
+		t.Errorf("active sessions = %d after Bye, want 0", n)
 	}
 }
 
@@ -176,10 +248,10 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 func TestEndToEndSwiftestOverUDP(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	if err := pool.RankByLatency(2, time.Second); err != nil {
+	if err := pool.RankByLatencyContext(context.Background(), 2, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(4)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +280,7 @@ func TestEndToEndSwiftestOverUDP(t *testing.T) {
 func TestProbeAfterCloseErrors(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(5)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +294,7 @@ func TestProbeAfterCloseErrors(t *testing.T) {
 }
 
 func TestEmptyPoolRejected(t *testing.T) {
-	if _, err := NewUDPProbe(&ServerPool{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewUDPProbeContext(context.Background(), &ServerPool{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty pool accepted")
 	}
 }

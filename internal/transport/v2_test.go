@@ -1,34 +1,36 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// v2Probe opens a probe against one server with the given protocol policy.
-func v2Probe(t *testing.T, s *Server, proto Protocol, seed int64) *UDPProbe {
+// v2Probe opens a probe against one server.
+func v2Probe(t *testing.T, s *Server, seed int64) *UDPProbe {
 	t.Helper()
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(seed)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.SetProtocol(proto)
 	return probe
 }
 
-// TestV2EndToEnd runs the two-channel protocol against the dual-stack server
-// on both syscall paths: negotiation lands on v2, paced throughput tracks
-// the request, per-interval Reports arrive, and the Bye retires the session
-// and delivers the result.
+// TestV2EndToEnd runs the two-channel protocol on both syscall paths:
+// negotiation lands on version 2, paced throughput tracks the request,
+// per-interval Reports arrive, and the Bye retires the session and delivers
+// the result.
 func TestV2EndToEnd(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -44,7 +46,7 @@ func TestV2EndToEnd(t *testing.T) {
 				UplinkMbps: 100, Wire: tc.mode, Metrics: reg,
 				OnResult: func(m float64) { results <- m },
 			})
-			probe := v2Probe(t, s, ProtoAuto, 11)
+			probe := v2Probe(t, s, 11)
 			probe.SetWire(tc.mode)
 
 			const want = 20.0
@@ -104,58 +106,15 @@ func TestV2EndToEnd(t *testing.T) {
 			if n := s.ActiveSessions(); n != 0 {
 				t.Errorf("active sessions = %d after Bye, want 0", n)
 			}
-			if got := reg.Counter("swiftest_server_v2_sessions_total", "").Value(); got != 1 {
-				t.Errorf("v2 sessions counter = %d, want 1", got)
+			if got := reg.Counter("swiftest_server_sessions_started_total", "").Value(); got != 1 {
+				t.Errorf("sessions started counter = %d, want 1", got)
 			}
 		})
 	}
 }
 
-// TestV2FallsBackToV1 pins the negotiated downgrade: a legacy (v1-only)
-// server never answers the Hello, and the ProtoAuto client completes the
-// test over the single-socket protocol.
-func TestV2FallsBackToV1(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100, v1Only: true})
-	probe := v2Probe(t, s, ProtoAuto, 12)
-	if err := probe.SetRate(15); err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Finish(0, 0)
-	if ver := probe.NegotiatedVersion(); ver != 1 {
-		t.Fatalf("negotiated version = %d, want 1 (fallback)", ver)
-	}
-	probe.NextSample()
-	probe.NextSample()
-	var sum float64
-	for i := 0; i < 6; i++ {
-		v, _ := probe.NextSample()
-		sum += v
-	}
-	if got := sum / 6; math.Abs(got-15)/15 > 0.3 {
-		t.Errorf("fallback throughput = %.1f Mbps, want ≈15", got)
-	}
-	if loss := probe.ReportedLoss(); loss != 0 {
-		t.Errorf("v1 session reported loss = %g, want 0 (no Reports on v1)", loss)
-	}
-}
-
-// TestProtoV2RequiredRejectsLegacyServer: a client pinned to v2 fails fast
-// against a legacy server, with the protocol mismatch in the error chain.
-func TestProtoV2RequiredRejectsLegacyServer(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100, v1Only: true})
-	probe := v2Probe(t, s, ProtoV2, 13)
-	defer probe.Finish(0, 0)
-	err := probe.SetRate(10)
-	if err == nil {
-		t.Fatal("SetRate succeeded against a v1-only server with ProtoV2 pinned")
-	}
-	if !errors.Is(err, errdefs.ErrProtocolUnsupported) {
-		t.Errorf("error = %v, want errdefs.ErrProtocolUnsupported in the chain", err)
-	}
-}
-
 // TestV2AuthRejection locks the server with a fleet key: an unauthenticated
-// v2 Setup is refused — observable in both the client error chain and the
+// Setup is refused — observable in both the client error chain and the
 // server's auth-reject counter — while a client holding a minted token is
 // admitted.
 func TestV2AuthRejection(t *testing.T) {
@@ -164,7 +123,7 @@ func TestV2AuthRejection(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100, AuthKey: key, Metrics: reg})
 
 	// No token: refused, and the refusal is not retried into oblivion.
-	probe := v2Probe(t, s, ProtoV2, 14)
+	probe := v2Probe(t, s, 14)
 	err := probe.SetRate(10)
 	probe.Finish(0, 0)
 	if err == nil {
@@ -178,7 +137,7 @@ func TestV2AuthRejection(t *testing.T) {
 	}
 
 	// Minted token: admitted.
-	okProbe := v2Probe(t, s, ProtoV2, 15)
+	okProbe := v2Probe(t, s, 15)
 	okProbe.SetToken(wire.MintToken(key, 7, 42, 0))
 	if err := okProbe.SetRate(10); err != nil {
 		t.Fatalf("authenticated SetRate: %v", err)
@@ -190,7 +149,7 @@ func TestV2AuthRejection(t *testing.T) {
 	okProbe.Finish(0, 0)
 
 	// A forged token (wrong key) is refused like a missing one.
-	forged := v2Probe(t, s, ProtoV2, 16)
+	forged := v2Probe(t, s, 16)
 	forged.SetToken(wire.MintToken(key^1, 7, 42, 0))
 	err = forged.SetRate(10)
 	forged.Finish(0, 0)
@@ -210,7 +169,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	nowMS := uint64(time.Now().UnixMilli())
 
 	// Expired a minute ago: RejectAuth, counted.
-	stale := v2Probe(t, s, ProtoV2, 24)
+	stale := v2Probe(t, s, 24)
 	stale.SetToken(wire.MintToken(key, 7, 42, nowMS-60_000))
 	err := stale.SetRate(10)
 	stale.Finish(0, 0)
@@ -225,7 +184,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	// longer verifies, so the stretch buys nothing.
 	stretched := wire.MintToken(key, 7, 42, nowMS-60_000)
 	stretched.Expires = nowMS + 3_600_000
-	cheat := v2Probe(t, s, ProtoV2, 25)
+	cheat := v2Probe(t, s, 25)
 	cheat.SetToken(stretched)
 	err = cheat.SetRate(10)
 	cheat.Finish(0, 0)
@@ -234,7 +193,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	}
 
 	// An hour of validity left: admitted and served.
-	fresh := v2Probe(t, s, ProtoV2, 26)
+	fresh := v2Probe(t, s, 26)
 	fresh.SetToken(wire.MintToken(key, 7, 42, nowMS+3_600_000))
 	if err := fresh.SetRate(10); err != nil {
 		t.Fatalf("fresh-token SetRate: %v", err)
@@ -246,66 +205,142 @@ func TestV2TokenExpiry(t *testing.T) {
 	fresh.Finish(0, 0)
 }
 
-// TestV1ClientAdmittedByKeyedServer pins the compatibility policy: lease
-// authentication gates only v2 Setups — a legacy client has no token field
-// to check and is served as before.
-func TestV1ClientAdmittedByKeyedServer(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100, AuthKey: 0xabc})
-	probe := v2Probe(t, s, ProtoV1, 17)
-	defer probe.Finish(0, 0)
-	if err := probe.SetRate(10); err != nil {
-		t.Fatalf("v1 client against keyed server: %v", err)
-	}
-	if ver := probe.NegotiatedVersion(); ver != 1 {
-		t.Fatalf("negotiated version = %d, want 1", ver)
-	}
-	probe.NextSample()
-	if v, ok := probe.NextSample(); !ok || v <= 0 {
-		t.Errorf("v1 sample = (%.1f, %v), want traffic", v, ok)
-	}
-}
-
-// TestV1PinnedStreamIsV1 verifies a ProtoV1 probe sees only version-1 Data
-// frames from the dual-stack server — the byte-level face of "a v2 server
-// serves legacy clients an unchanged stream". (The wheel-level identity
-// tests pin the exact digests.)
-func TestV1PinnedStreamIsV1(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100})
-	probe := v2Probe(t, s, ProtoV1, 18)
-	defer probe.Finish(0, 0)
-	if err := probe.SetRate(10); err != nil {
+// TestSilentHelloTimesOut: a peer that never answers the Hello costs the
+// full handshake budget, like every other handshake step, and fails with
+// ErrProbeTimeout rather than any protocol downgrade.
+func TestSilentHelloTimesOut(t *testing.T) {
+	silent, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	probe.mu.Lock()
-	defer probe.mu.Unlock()
-	for _, sess := range probe.sessions {
-		if sess.v2 {
-			t.Error("ProtoV1 probe opened a v2 session")
+	defer silent.Close()
+	pool := &ServerPool{Servers: []PoolServer{{Addr: silent.LocalAddr().String(), UplinkMbps: 100}}}
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(19)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Finish(0, 0)
+	err = probe.SetRate(10)
+	if !errors.Is(err, errdefs.ErrProbeTimeout) {
+		t.Fatalf("SetRate against a silent peer: err = %v, want ErrProbeTimeout", err)
+	}
+	hellos := 0
+	buf := make([]byte, 256)
+	_ = silent.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	for {
+		n, _, err := silent.ReadFromUDP(buf)
+		if err != nil {
+			break
+		}
+		var h wire.Hello
+		if h.Decode(buf[:n]) == nil {
+			hellos++
 		}
 	}
-	if probe.rxBytes.Load() == 0 {
-		t.Error("no v1 traffic delivered")
+	if hellos != handshakeAttempts {
+		t.Errorf("Hellos sent = %d, want the full budget of %d", hellos, handshakeAttempts)
 	}
 }
 
-func TestParseProtocol(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Protocol
-		ok   bool
-	}{
-		{"auto", ProtoAuto, true},
-		{"", ProtoAuto, true},
-		{"v1", ProtoV1, true},
-		{"1", ProtoV1, true},
-		{"v2", ProtoV2, true},
-		{"2", ProtoV2, true},
-		{"v3", ProtoAuto, false},
-	} {
-		got, err := ParseProtocol(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseProtocol(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
+// TestV1FrameCreatesNoSession: a frame shaped like the retired
+// single-socket session request (version byte 1, type 3) opens no session
+// and draws no reply, on an open and on a keyed server alike — no client
+// reaches the pacer without the Setup that lease auth guards. Pings, the
+// other version-1 frame, are still answered.
+func TestV1FrameCreatesNoSession(t *testing.T) {
+	for _, key := range []uint64{0, 0xabc} {
+		reg := obs.NewRegistry()
+		s := startServer(t, ServerConfig{UplinkMbps: 100, AuthKey: key, Metrics: reg})
+		conn, err := net.DialUDP("udp", nil, s.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer conn.Close()
+		// magic, version 1, type 3, then a test ID and a 10 Mbps rate.
+		req := []byte{0x57, 0x54, 1, 3, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0x27, 0x10}
+		for i := 0; i < 3; i++ {
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		if n, err := conn.Read(make([]byte, 2048)); err == nil {
+			t.Errorf("key %#x: version-1 session request drew a %d-byte reply", key, n)
+		}
+		if n := s.ActiveSessions(); n != 0 {
+			t.Errorf("key %#x: %d sessions after version-1 session requests, want 0", key, n)
+		}
+		if got := reg.Counter("swiftest_server_sessions_started_total", "").Value(); got != 0 {
+			t.Errorf("key %#x: sessions started = %d, want 0", key, got)
+		}
+		if _, err := PingServerContext(context.Background(), s.Addr().String(), 1, time.Second); err != nil {
+			t.Errorf("key %#x: ping after version-1 frames: %v", key, err)
+		}
+	}
+}
+
+// TestServerMapsDrain pins that the handshake bookkeeping cannot grow
+// without bound: Hellos that never reach a Setup expire on the wheel's idle
+// sweep, and sessions that run to their Bye leave neither Hello state nor
+// fault-draw attempt counts behind.
+func TestServerMapsDrain(t *testing.T) {
+	const n = 8
+	mapSizes := func(s *Server) (hellos, attempts int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.helloCaps), len(s.hsAttempts)
+	}
+
+	// Hellos from n distinct sockets, no Setup.
+	idle := 300 * time.Millisecond
+	s, err := newServer("127.0.0.1:0", ServerConfig{UplinkMbps: 100, IdleTimeout: idle}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		conn, err := net.DialUDP("udp", nil, s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := wire.Hello{MinVersion: wire.Version2, MaxVersion: wire.Version2, Nonce: uint64(i)}
+		if _, err := conn.Write(hello.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := conn.Read(make([]byte, 256)); err != nil {
+			t.Fatalf("hello %d unanswered: %v", i, err)
+		}
+	}
+	if hellos, _ := mapSizes(s); hellos != n {
+		t.Fatalf("Hello entries = %d, want %d", hellos, n)
+	}
+	s.advance(time.Now())
+	if hellos, _ := mapSizes(s); hellos != n {
+		t.Fatalf("Hello entries = %d before the idle timeout, want %d", hellos, n)
+	}
+	s.advance(time.Now().Add(idle + time.Millisecond))
+	if hellos, _ := mapSizes(s); hellos != 0 {
+		t.Errorf("Hello entries = %d after an advance past the idle timeout, want 0", hellos)
+	}
+
+	// n full sessions on a fault-injecting server, each run to its Bye.
+	plan := &faults.Plan{Faults: []faults.Fault{{Kind: faults.Blackout, Server: 0, AtMS: 3_600_000}}}
+	fs := startServer(t, ServerConfig{UplinkMbps: 100, Faults: &faults.Binding{Inj: plan.Injector()}})
+	for i := 0; i < n; i++ {
+		probe := v2Probe(t, fs, int64(40+i))
+		if err := probe.SetRate(1); err != nil {
+			t.Fatal(err)
+		}
+		probe.Finish(1, time.Second)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for fs.ActiveSessions() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if hellos, attempts := mapSizes(fs); fs.ActiveSessions() != 0 || hellos != 0 || attempts != 0 {
+		t.Errorf("after %d Byes: sessions %d, Hello entries %d, attempt counts %d; want all 0",
+			n, fs.ActiveSessions(), hellos, attempts)
 	}
 }

@@ -1,38 +1,5 @@
-// Protocol version 2: the two-channel production wire format.
-//
-// v1 multiplexes session control and probe data over one socket and reports
-// one headline number. v2 splits the exchange into a control channel
-// (versioned handshake with capability negotiation, session setup keyed by a
-// dispatcher-lease auth token, mid-test rate updates, per-interval server
-// reports, and a final report carrying the full estimator family) and a data
-// channel that carries nothing but paced probe datagrams — seq and send
-// timestamp, padded to the probing packet size. Because the two channels are
-// separate sockets, v2 sessions are keyed by session ID rather than by the
-// peer 4-tuple: the server learns the data-channel address from an explicit
-// DataOpen sent on the data socket.
-//
-// Message flow for one v2 bandwidth test:
-//
-//	client                               server
-//	  | == control channel ==================== |
-//	  | ---- Hello(vmin,vmax,caps) -----------> |      (negotiation)
-//	  | <--- HelloAck(ver,caps) --------------- |
-//	  | ---- Setup(sid, token, rate) ---------> |      (lease-auth admission)
-//	  | <--- SetupAck(sid) / SetupReject(sid) - |
-//	  | == data channel ======================= |
-//	  | ---- DataOpen(sid) -------------------> |      (binds the 4-tuple)
-//	  | <--- DataOpenAck(sid) ----------------- |
-//	  | <--- Data2(sid, seq, ts, pad) --------- |      (paced at the probing rate)
-//	  | == control channel ==================== |
-//	  | ---- Rate2(sid, rate) ----------------> |      (rate escalation)
-//	  | <--- Report(sid, sent bytes/dgrams) --- |      (per-interval reports)
-//	  | ---- Bye(sid, result, estimates) -----> |
-//	  | <--- ByeAck(sid) ---------------------- |
-//
-// A v2 client negotiates down automatically: a v1-only server never answers
-// the Hello (it fails the version check), so the client falls back to the v1
-// single-socket handshake. A v2 server keeps the complete v1 state machine,
-// serving legacy clients a byte-identical datagram stream.
+// Session frames: the control-channel handshake and the data channel. The
+// message flow is drawn in the package documentation.
 package wire
 
 import (
@@ -44,8 +11,7 @@ import (
 // Version2 is the two-channel protocol revision.
 const Version2 uint8 = 2
 
-// Protocol v2 message types. The type space is shared with v1; the version
-// byte in the header is what separates the two grammars.
+// Session message types, carried under version byte 2.
 const (
 	TypeHello Type = 9 + iota
 	TypeHelloAck
@@ -60,36 +26,6 @@ const (
 	TypeBye
 	TypeByeAck
 )
-
-func v2TypeString(t Type) (string, bool) {
-	switch t {
-	case TypeHello:
-		return "hello", true
-	case TypeHelloAck:
-		return "hello-ack", true
-	case TypeSetup:
-		return "setup", true
-	case TypeSetupAck:
-		return "setup-ack", true
-	case TypeSetupReject:
-		return "setup-reject", true
-	case TypeDataOpen:
-		return "data-open", true
-	case TypeDataOpenAck:
-		return "data-open-ack", true
-	case TypeRate2:
-		return "rate2", true
-	case TypeReport:
-		return "report", true
-	case TypeData2:
-		return "data2", true
-	case TypeBye:
-		return "bye", true
-	case TypeByeAck:
-		return "bye-ack", true
-	}
-	return "", false
-}
 
 // Capability bits negotiated by Hello/HelloAck. A capability is active for
 // the session only when both sides advertise it.
@@ -121,10 +57,9 @@ func putHeader2(b []byte, t Type) {
 	b[3] = uint8(t)
 }
 
-// PeekVersion validates the common header of b and returns its protocol
-// version and message type. Unlike PeekType, it accepts every version this
-// implementation speaks (1 and 2) — the dispatch point for a dual-stack
-// server socket.
+// PeekVersion validates the common header of b and returns its version
+// byte and message type. Unlike PeekType, it accepts both version bytes in
+// use: 1 (Ping, Pong) and 2 (every session frame).
 func PeekVersion(b []byte) (uint8, Type, error) {
 	if len(b) < HeaderLen {
 		return 0, 0, ErrTruncated
@@ -155,7 +90,7 @@ func checkHeader2(b []byte, want Type, bodyLen int) error {
 	return nil
 }
 
-// Token authenticates a v2 session against the fleet dispatcher's lease: the
+// Token authenticates a session against the fleet dispatcher's lease: the
 // dispatcher mints it from (server, lease seq, expiry) under a shared key,
 // and any server holding the key verifies it without state. The MAC is
 // SipHash-2-4, so a client cannot forge admission — or stretch a lease's
@@ -359,7 +294,7 @@ func (h *HelloAck) Decode(b []byte) error {
 	return nil
 }
 
-// Setup starts a v2 session on the control channel, authenticated by the
+// Setup starts a session on the control channel, authenticated by the
 // dispatcher-lease token (all-zero on open deployments).
 type Setup struct {
 	SessionID uint64
@@ -583,10 +518,12 @@ func (r *Report) Decode(b []byte) error {
 	return nil
 }
 
+// DataHeaderLen is the non-payload prefix of a Data2 datagram.
+const DataHeaderLen = HeaderLen + 20
+
 // Data2 is one paced probe datagram on the data channel: session ID, seq,
-// send timestamp, padding — nothing else. Its header geometry matches v1's
-// Data exactly (DataHeaderLen), so the pacing wheel, segmentation offload and
-// buffer pools treat both versions identically.
+// send timestamp, padding — nothing else. The payload is padding that brings
+// the datagram to the probing packet size; its content is arbitrary.
 type Data2 struct {
 	SessionID uint64
 	Seq       uint32
@@ -606,9 +543,12 @@ func (d *Data2) AppendTo(b []byte) []byte {
 	return append(b, d.Payload...)
 }
 
-// EncodeHeader stamps d's header into the first DataHeaderLen bytes of b in
-// place — the zero-copy pooled-buffer counterpart of AppendTo, mirroring
-// Data.EncodeHeader.
+// EncodeHeader stamps d's header fields into the first DataHeaderLen bytes
+// of b in place, leaving the rest of b — the payload region — untouched.
+// This is the zero-copy counterpart of AppendTo for pooled buffers whose
+// payload padding is written once at allocation: the pacing hot path
+// restamps only the 24 header bytes per datagram. b must be at least
+// DataHeaderLen long; d.Payload is ignored.
 func (d *Data2) EncodeHeader(b []byte) {
 	putHeader2(b, TypeData2)
 	binary.BigEndian.PutUint64(b[4:], d.SessionID)
@@ -629,10 +569,9 @@ func (d *Data2) Decode(b []byte) error {
 	return nil
 }
 
-// Bye ends a v2 session, reporting the headline result plus — when
+// Bye ends a session, reporting the headline result plus — when
 // CapEstimates is active — the full estimator family and the BDP regime
-// classification, feeding the server's model-refresh pipeline the richer
-// per-test view the single v1 figure cannot carry.
+// classification, feeding the server's model-refresh pipeline.
 type Bye struct {
 	SessionID    uint64
 	ResultKbps   uint32
@@ -679,7 +618,7 @@ func (f *Bye) Decode(b []byte) error {
 	return nil
 }
 
-// ByeAck closes a v2 session on receipt.
+// ByeAck closes a session on receipt.
 type ByeAck struct {
 	SessionID uint64
 }

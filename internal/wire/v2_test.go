@@ -7,30 +7,25 @@ import (
 	"testing/quick"
 )
 
-type v2codec interface {
-	AppendTo([]byte) []byte
-	Decode([]byte) error
-}
-
 func TestV2RoundTrips(t *testing.T) {
 	tok := MintToken(0xfeedface, 7, 99, 1700000000000)
 	msgs := []struct {
 		name    string
-		msg     v2codec
-		fresh   func() v2codec
+		msg     codec
+		fresh   func() codec
 		wantLen int
 	}{
-		{"Hello", &Hello{MinVersion: 1, MaxVersion: 2, Caps: ServerCaps, Nonce: 11}, func() v2codec { return new(Hello) }, HelloLen},
-		{"HelloAck", &HelloAck{Version: 2, Caps: CapReports, Nonce: 11}, func() v2codec { return new(HelloAck) }, HelloAckLen},
-		{"Setup", &Setup{SessionID: 5, RateKbps: 4000, Token: tok}, func() v2codec { return new(Setup) }, SetupLen},
-		{"SetupAck", &SetupAck{SessionID: 5, Caps: ServerCaps, ReportIntervalMS: 100}, func() v2codec { return new(SetupAck) }, SetupAckLen},
-		{"SetupReject", &SetupReject{SessionID: 5, Code: RejectAuth}, func() v2codec { return new(SetupReject) }, SetupRejectLen},
-		{"DataOpen", &DataOpen{SessionID: 5, Nonce: 22}, func() v2codec { return new(DataOpen) }, DataOpenLen},
-		{"DataOpenAck", &DataOpenAck{SessionID: 5}, func() v2codec { return new(DataOpenAck) }, DataOpenAckLen},
-		{"Rate2", &Rate2{SessionID: 5, RateKbps: 8000, Seq: 3}, func() v2codec { return new(Rate2) }, Rate2Len},
-		{"Report", &Report{SessionID: 5, Seq: 9, SentBytes: 1 << 30, SentDatagrams: 12345}, func() v2codec { return new(Report) }, ReportLen},
-		{"Bye", &Bye{SessionID: 5, ResultKbps: 41000, DurationMS: 2100, CrossingKbps: 41000, TrimmedKbps: 40500, PeakKbps: 43000, P90P80Kbps: 42000, Regime: 3}, func() v2codec { return new(Bye) }, ByeLen},
-		{"ByeAck", &ByeAck{SessionID: 5}, func() v2codec { return new(ByeAck) }, ByeAckLen},
+		{"Hello", &Hello{MinVersion: 1, MaxVersion: 2, Caps: ServerCaps, Nonce: 11}, func() codec { return new(Hello) }, HelloLen},
+		{"HelloAck", &HelloAck{Version: 2, Caps: CapReports, Nonce: 11}, func() codec { return new(HelloAck) }, HelloAckLen},
+		{"Setup", &Setup{SessionID: 5, RateKbps: 4000, Token: tok}, func() codec { return new(Setup) }, SetupLen},
+		{"SetupAck", &SetupAck{SessionID: 5, Caps: ServerCaps, ReportIntervalMS: 100}, func() codec { return new(SetupAck) }, SetupAckLen},
+		{"SetupReject", &SetupReject{SessionID: 5, Code: RejectAuth}, func() codec { return new(SetupReject) }, SetupRejectLen},
+		{"DataOpen", &DataOpen{SessionID: 5, Nonce: 22}, func() codec { return new(DataOpen) }, DataOpenLen},
+		{"DataOpenAck", &DataOpenAck{SessionID: 5}, func() codec { return new(DataOpenAck) }, DataOpenAckLen},
+		{"Rate2", &Rate2{SessionID: 5, RateKbps: 8000, Seq: 3}, func() codec { return new(Rate2) }, Rate2Len},
+		{"Report", &Report{SessionID: 5, Seq: 9, SentBytes: 1 << 30, SentDatagrams: 12345}, func() codec { return new(Report) }, ReportLen},
+		{"Bye", &Bye{SessionID: 5, ResultKbps: 41000, DurationMS: 2100, CrossingKbps: 41000, TrimmedKbps: 40500, PeakKbps: 43000, P90P80Kbps: 42000, Regime: 3}, func() codec { return new(Bye) }, ByeLen},
+		{"ByeAck", &ByeAck{SessionID: 5}, func() codec { return new(ByeAck) }, ByeAckLen},
 	}
 	for _, m := range msgs {
 		t.Run(m.name, func(t *testing.T) {
@@ -78,7 +73,7 @@ func TestData2RoundTrip(t *testing.T) {
 
 func TestData2EncodeHeaderMatchesAppendTo(t *testing.T) {
 	// The in-place header stamp used on pooled pacing buffers must produce
-	// exactly the bytes AppendTo would — same geometry as v1 Data.
+	// exactly the bytes AppendTo would.
 	d := Data2{SessionID: 3, Seq: 17, SentNS: 999}
 	appended := d.AppendTo(nil)
 	inPlace := make([]byte, DataHeaderLen)
@@ -120,11 +115,11 @@ func TestV2DecodeErrors(t *testing.T) {
 	if err := s.Decode(buf[:SetupLen-1]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short body: %v, want ErrTruncated", err)
 	}
-	// A v1 frame fed to a v2 decoder is a version error, not a type error:
-	// the version byte separates the grammars.
-	v1 := (&Ping{Seq: 1}).AppendTo(nil)
-	if err := s.Decode(v1); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("v1 frame: %v, want ErrBadVersion", err)
+	// A version-1 frame fed to a session decoder is a version error, not a
+	// type error: the version byte separates the grammars.
+	ping := (&Ping{Seq: 1}).AppendTo(nil)
+	if err := s.Decode(ping); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-1 frame: %v, want ErrBadVersion", err)
 	}
 	var ack SetupAck
 	if err := ack.Decode(buf); !errors.Is(err, ErrBadType) {

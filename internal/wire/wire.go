@@ -7,19 +7,32 @@
 // into caller-provided buffers and decode into preallocated structs, in the
 // style of gopacket's DecodingLayer.
 //
-// Message flow for one bandwidth test:
+// Message flow for one bandwidth test. The client opens two sockets per
+// server: a control channel for the handshake, rate updates, server Reports
+// and the final Bye, and a data channel that carries nothing but paced probe
+// datagrams, so a probe flood never queues a rate update behind buffered
+// data. Sessions are keyed by session ID rather than by the peer 4-tuple;
+// the server learns the data-channel address from the DataOpen.
 //
-//	client                           server
-//	  | ---- Ping(seq) ---------------> |      (server selection)
-//	  | <--- Pong(seq, echo) ---------- |
-//	  | ---- TestRequest(id, rate) ---> |
-//	  | <--- TestAccept(id) ----------- |
-//	  | <--- Data(id, seq, ts, pad) --- |      (paced at the probing rate)
-//	  | ---- RateSet(id, rate) -------> |      (rate escalation feedback)
-//	  | <--- Data ... ----------------- |
-//	  | ---- Fin(id, result) ---------> |
-//	  | <--- FinAck(id) --------------- |
+//	client                               server
+//	  | ---- Ping(seq) ---------------------> |      (server selection)
+//	  | <--- Pong(seq, echo) ---------------- |
+//	  | == control channel ==================== |
+//	  | ---- Hello(vmin,vmax,caps) -----------> |      (negotiation)
+//	  | <--- HelloAck(ver,caps) --------------- |
+//	  | ---- Setup(sid, token, rate) ---------> |      (lease-auth admission)
+//	  | <--- SetupAck(sid) / SetupReject(sid) - |
+//	  | == data channel ======================= |
+//	  | ---- DataOpen(sid) -------------------> |      (binds the 4-tuple)
+//	  | <--- DataOpenAck(sid) ----------------- |
+//	  | <--- Data2(sid, seq, ts, pad) --------- |      (paced at the probing rate)
+//	  | == control channel ==================== |
+//	  | ---- Rate2(sid, rate) ----------------> |      (rate escalation)
+//	  | <--- Report(sid, sent bytes/dgrams) --- |      (per-interval reports)
+//	  | ---- Bye(sid, result, estimates) -----> |
+//	  | <--- ByeAck(sid) ---------------------- |
 //
+// Ping and Pong carry version byte 1, every other frame version byte 2.
 // Rates travel as Kbps in uint32, giving 4 Tbps of headroom with 1 Kbps
 // resolution. Timestamps are nanoseconds since the Unix epoch in uint64.
 package wire
@@ -30,7 +43,8 @@ import (
 	"fmt"
 )
 
-// Magic identifies Swiftest datagrams; Version is the protocol revision.
+// Magic identifies Swiftest datagrams; Version is the version byte of the
+// pre-handshake Ping and Pong.
 const (
 	Magic   uint16 = 0x5754 // "WT"
 	Version uint8  = 1
@@ -39,16 +53,11 @@ const (
 // Type enumerates protocol messages.
 type Type uint8
 
-// Protocol message types.
+// Pre-handshake message types. Types 3–8 belonged to a retired
+// single-socket protocol generation and are never reused.
 const (
-	TypePing Type = 1 + iota
-	TypePong
-	TypeTestRequest
-	TypeTestAccept
-	TypeRateSet
-	TypeData
-	TypeFin
-	TypeFinAck
+	TypePing Type = 1
+	TypePong Type = 2
 )
 
 // String implements fmt.Stringer.
@@ -58,24 +67,32 @@ func (t Type) String() string {
 		return "ping"
 	case TypePong:
 		return "pong"
-	case TypeTestRequest:
-		return "test-request"
-	case TypeTestAccept:
-		return "test-accept"
-	case TypeRateSet:
-		return "rate-set"
-	case TypeData:
-		return "data"
-	case TypeFin:
-		return "fin"
-	case TypeFinAck:
-		return "fin-ack"
-	default:
-		if s, ok := v2TypeString(t); ok {
-			return s
-		}
-		return fmt.Sprintf("unknown(%d)", uint8(t))
+	case TypeHello:
+		return "hello"
+	case TypeHelloAck:
+		return "hello-ack"
+	case TypeSetup:
+		return "setup"
+	case TypeSetupAck:
+		return "setup-ack"
+	case TypeSetupReject:
+		return "setup-reject"
+	case TypeDataOpen:
+		return "data-open"
+	case TypeDataOpenAck:
+		return "data-open-ack"
+	case TypeRate2:
+		return "rate2"
+	case TypeReport:
+		return "report"
+	case TypeData2:
+		return "data2"
+	case TypeBye:
+		return "bye"
+	case TypeByeAck:
+		return "bye-ack"
 	}
+	return fmt.Sprintf("unknown(%d)", uint8(t))
 }
 
 // HeaderLen is the fixed prefix of every message: magic(2) version(1)
@@ -180,202 +197,6 @@ func (p *Pong) Decode(b []byte) error {
 	}
 	p.Seq = binary.BigEndian.Uint32(b[4:])
 	p.EchoNS = binary.BigEndian.Uint64(b[8:])
-	return nil
-}
-
-// TestRequest starts a bandwidth test at the given initial probing rate.
-type TestRequest struct {
-	TestID   uint64
-	RateKbps uint32
-}
-
-// TestRequestLen is the encoded size of a TestRequest.
-const TestRequestLen = HeaderLen + 12
-
-// AppendTo encodes t into b and returns the extended slice.
-func (t *TestRequest) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, TestRequestLen)...)
-	putHeader(b[off:], TypeTestRequest)
-	binary.BigEndian.PutUint64(b[off+4:], t.TestID)
-	binary.BigEndian.PutUint32(b[off+12:], t.RateKbps)
-	return b
-}
-
-// Decode parses b into t.
-func (t *TestRequest) Decode(b []byte) error {
-	if err := checkHeader(b, TypeTestRequest, 12); err != nil {
-		return err
-	}
-	t.TestID = binary.BigEndian.Uint64(b[4:])
-	t.RateKbps = binary.BigEndian.Uint32(b[12:])
-	return nil
-}
-
-// TestAccept acknowledges a TestRequest.
-type TestAccept struct {
-	TestID uint64
-}
-
-// TestAcceptLen is the encoded size of a TestAccept.
-const TestAcceptLen = HeaderLen + 8
-
-// AppendTo encodes t into b and returns the extended slice.
-func (t *TestAccept) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, TestAcceptLen)...)
-	putHeader(b[off:], TypeTestAccept)
-	binary.BigEndian.PutUint64(b[off+4:], t.TestID)
-	return b
-}
-
-// Decode parses b into t.
-func (t *TestAccept) Decode(b []byte) error {
-	if err := checkHeader(b, TypeTestAccept, 8); err != nil {
-		return err
-	}
-	t.TestID = binary.BigEndian.Uint64(b[4:])
-	return nil
-}
-
-// RateSet retunes the server's pacing rate mid-test (§5.1 rate escalation).
-type RateSet struct {
-	TestID   uint64
-	RateKbps uint32
-	Seq      uint32 // monotonically increasing; stale updates are ignored
-}
-
-// RateSetLen is the encoded size of a RateSet.
-const RateSetLen = HeaderLen + 16
-
-// AppendTo encodes r into b and returns the extended slice.
-func (r *RateSet) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, RateSetLen)...)
-	putHeader(b[off:], TypeRateSet)
-	binary.BigEndian.PutUint64(b[off+4:], r.TestID)
-	binary.BigEndian.PutUint32(b[off+12:], r.RateKbps)
-	binary.BigEndian.PutUint32(b[off+16:], r.Seq)
-	return b
-}
-
-// Decode parses b into r.
-func (r *RateSet) Decode(b []byte) error {
-	if err := checkHeader(b, TypeRateSet, 16); err != nil {
-		return err
-	}
-	r.TestID = binary.BigEndian.Uint64(b[4:])
-	r.RateKbps = binary.BigEndian.Uint32(b[12:])
-	r.Seq = binary.BigEndian.Uint32(b[16:])
-	return nil
-}
-
-// DataHeaderLen is the non-payload prefix of a Data message.
-const DataHeaderLen = HeaderLen + 20
-
-// Data is one paced probe datagram. The payload is padding that brings the
-// datagram to the probing packet size; its content is arbitrary.
-type Data struct {
-	TestID  uint64
-	Seq     uint32
-	SentNS  uint64
-	Payload []byte // decoded in place: aliases the input buffer
-}
-
-// AppendTo encodes d (header plus payload) into b and returns the extended
-// slice.
-func (d *Data) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, DataHeaderLen)...)
-	putHeader(b[off:], TypeData)
-	binary.BigEndian.PutUint64(b[off+4:], d.TestID)
-	binary.BigEndian.PutUint32(b[off+12:], d.Seq)
-	binary.BigEndian.PutUint64(b[off+16:], d.SentNS)
-	return append(b, d.Payload...)
-}
-
-// EncodeHeader stamps d's header fields into the first DataHeaderLen bytes
-// of b in place, leaving the rest of b — the payload region — untouched.
-// This is the zero-copy counterpart of AppendTo for pooled buffers whose
-// payload padding is written once at allocation: the pacing hot path restamps
-// only the 24 header bytes per datagram. b must be at least DataHeaderLen
-// long; d.Payload is ignored.
-func (d *Data) EncodeHeader(b []byte) {
-	putHeader(b, TypeData)
-	binary.BigEndian.PutUint64(b[4:], d.TestID)
-	binary.BigEndian.PutUint32(b[12:], d.Seq)
-	binary.BigEndian.PutUint64(b[16:], d.SentNS)
-}
-
-// Decode parses b into d. Payload aliases b; copy it if it must outlive the
-// buffer.
-func (d *Data) Decode(b []byte) error {
-	if err := checkHeader(b, TypeData, 20); err != nil {
-		return err
-	}
-	d.TestID = binary.BigEndian.Uint64(b[4:])
-	d.Seq = binary.BigEndian.Uint32(b[12:])
-	d.SentNS = binary.BigEndian.Uint64(b[16:])
-	d.Payload = b[DataHeaderLen:]
-	return nil
-}
-
-// Fin ends a test and reports the client's estimate back to the server
-// (useful for the periodic model refresh of §5.1).
-type Fin struct {
-	TestID     uint64
-	ResultKbps uint32
-	DurationMS uint32
-}
-
-// FinLen is the encoded size of a Fin.
-const FinLen = HeaderLen + 16
-
-// AppendTo encodes f into b and returns the extended slice.
-func (f *Fin) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, FinLen)...)
-	putHeader(b[off:], TypeFin)
-	binary.BigEndian.PutUint64(b[off+4:], f.TestID)
-	binary.BigEndian.PutUint32(b[off+12:], f.ResultKbps)
-	binary.BigEndian.PutUint32(b[off+16:], f.DurationMS)
-	return b
-}
-
-// Decode parses b into f.
-func (f *Fin) Decode(b []byte) error {
-	if err := checkHeader(b, TypeFin, 16); err != nil {
-		return err
-	}
-	f.TestID = binary.BigEndian.Uint64(b[4:])
-	f.ResultKbps = binary.BigEndian.Uint32(b[12:])
-	f.DurationMS = binary.BigEndian.Uint32(b[16:])
-	return nil
-}
-
-// FinAck acknowledges a Fin; the session is closed on receipt.
-type FinAck struct {
-	TestID uint64
-}
-
-// FinAckLen is the encoded size of a FinAck.
-const FinAckLen = HeaderLen + 8
-
-// AppendTo encodes f into b and returns the extended slice.
-func (f *FinAck) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, FinAckLen)...)
-	putHeader(b[off:], TypeFinAck)
-	binary.BigEndian.PutUint64(b[off+4:], f.TestID)
-	return b
-}
-
-// Decode parses b into f.
-func (f *FinAck) Decode(b []byte) error {
-	if err := checkHeader(b, TypeFinAck, 8); err != nil {
-		return err
-	}
-	f.TestID = binary.BigEndian.Uint64(b[4:])
 	return nil
 }
 

@@ -34,61 +34,9 @@ func TestPongRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTestRequestRoundTrip(t *testing.T) {
-	in := TestRequest{TestID: 1<<60 + 5, RateKbps: 300000}
-	var out TestRequest
-	if err := out.Decode(in.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestTestAcceptRoundTrip(t *testing.T) {
-	in := TestAccept{TestID: 12345}
-	var out TestAccept
-	if err := out.Decode(in.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestRateSetRoundTrip(t *testing.T) {
-	in := RateSet{TestID: 9, RateKbps: 500000, Seq: 3}
-	var out RateSet
-	if err := out.Decode(in.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestDataRoundTrip(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xAB}, 1180)
-	in := Data{TestID: 11, Seq: 1000, SentNS: 55, Payload: payload}
-	buf := in.AppendTo(nil)
-	if len(buf) != DataHeaderLen+len(payload) {
-		t.Fatalf("encoded len = %d", len(buf))
-	}
-	var out Data
-	if err := out.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-	if out.TestID != 11 || out.Seq != 1000 || out.SentNS != 55 {
-		t.Errorf("fields: %+v", out)
-	}
-	if !bytes.Equal(out.Payload, payload) {
-		t.Error("payload mismatch")
-	}
-}
-
 func TestDataEncodeHeaderMatchesAppendTo(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x00}, 1176)
-	in := Data{TestID: 77, Seq: 4242, SentNS: 999999, Payload: payload}
+	in := Data2{SessionID: 77, Seq: 4242, SentNS: 999999, Payload: payload}
 	want := in.AppendTo(nil)
 
 	// EncodeHeader into a zero-padded pooled buffer must give the same bytes.
@@ -105,7 +53,7 @@ func TestDataEncodeHeaderMatchesAppendTo(t *testing.T) {
 	if got[DataHeaderLen] != 0xFF {
 		t.Error("EncodeHeader wrote past DataHeaderLen into the payload region")
 	}
-	var out Data
+	var out Data2
 	if err := out.Decode(got); err != nil {
 		t.Fatal(err)
 	}
@@ -116,44 +64,22 @@ func TestDataEncodeHeaderMatchesAppendTo(t *testing.T) {
 
 func TestDataEncodeHeaderAllocs(t *testing.T) {
 	buf := make([]byte, DataHeaderLen)
-	d := Data{TestID: 1, Seq: 2, SentNS: 3}
+	d := Data2{SessionID: 1, Seq: 2, SentNS: 3}
 	if n := testing.AllocsPerRun(100, func() { d.EncodeHeader(buf) }); n != 0 {
 		t.Errorf("EncodeHeader allocates %.1f per call, want 0", n)
 	}
 }
 
 func TestDataPayloadAliasesBuffer(t *testing.T) {
-	in := Data{TestID: 1, Payload: []byte{1, 2, 3}}
+	in := Data2{SessionID: 1, Payload: []byte{1, 2, 3}}
 	buf := in.AppendTo(nil)
-	var out Data
+	var out Data2
 	if err := out.Decode(buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[DataHeaderLen] = 9
 	if out.Payload[0] != 9 {
 		t.Error("Payload should alias the input buffer (zero-copy decode)")
-	}
-}
-
-func TestFinRoundTrip(t *testing.T) {
-	in := Fin{TestID: 4, ResultKbps: 123456, DurationMS: 1190}
-	var out Fin
-	if err := out.Decode(in.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestFinAckRoundTrip(t *testing.T) {
-	in := FinAck{TestID: 77}
-	var out FinAck
-	if err := out.Decode(in.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
 	}
 }
 
@@ -197,16 +123,16 @@ func TestDecodeErrors(t *testing.T) {
 func TestAppendToExistingBuffer(t *testing.T) {
 	// Messages append after existing content without clobbering it.
 	prefix := []byte("prefix")
-	buf := (&TestAccept{TestID: 5}).AppendTo(append([]byte(nil), prefix...))
+	buf := (&Ping{Seq: 5}).AppendTo(append([]byte(nil), prefix...))
 	if !bytes.HasPrefix(buf, prefix) {
 		t.Fatal("prefix clobbered")
 	}
-	var out TestAccept
+	var out Ping
 	if err := out.Decode(buf[len(prefix):]); err != nil {
 		t.Fatal(err)
 	}
-	if out.TestID != 5 {
-		t.Errorf("TestID = %d", out.TestID)
+	if out.Seq != 5 {
+		t.Errorf("Seq = %d", out.Seq)
 	}
 }
 
@@ -214,14 +140,14 @@ func TestAppendToExistingBuffer(t *testing.T) {
 // fixed-size messages.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, seq, rate, dur uint32) bool {
-		r := RateSet{TestID: id, RateKbps: rate, Seq: seq}
-		var r2 RateSet
+		r := Rate2{SessionID: id, RateKbps: rate, Seq: seq}
+		var r2 Rate2
 		if err := r2.Decode(r.AppendTo(nil)); err != nil || r2 != r {
 			return false
 		}
-		fin := Fin{TestID: id, ResultKbps: rate, DurationMS: dur}
-		var f2 Fin
-		if err := f2.Decode(fin.AppendTo(nil)); err != nil || f2 != fin {
+		bye := Bye{SessionID: id, ResultKbps: rate, DurationMS: dur, Regime: uint8(seq)}
+		var b2 Bye
+		if err := b2.Decode(bye.AppendTo(nil)); err != nil || b2 != bye {
 			return false
 		}
 		return true
@@ -248,8 +174,8 @@ func TestRateConversions(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for typ, want := range map[Type]string{
-		TypePing: "ping", TypePong: "pong", TypeData: "data",
-		TypeRateSet: "rate-set", Type(200): "unknown(200)",
+		TypePing: "ping", TypePong: "pong", TypeData2: "data2",
+		TypeRate2: "rate2", Type(3): "unknown(3)", Type(200): "unknown(200)",
 	} {
 		if got := typ.String(); got != want {
 			t.Errorf("Type(%d).String() = %q, want %q", typ, got, want)

@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# Protocol interop smoke: the CI gate for the two-generation wire protocol.
+# Protocol smoke: the CI gate for the wire protocol.
 #
-#  1. A current (dual-stack) server serves a v1-pinned client — the legacy
-#     single-socket protocol still works against new servers.
-#  2. v2 <-> v2 completes under each wire mode (batched and fallback), and
-#     the run-record carries the v2 schema with the estimator/regime tail.
-#  3. A ProtoAuto client against the same server negotiates v2.
-#  4. A keyed server refuses an untokened v2 client — observable in both the
-#     exit status and the auth-reject counter — and admits a tokened one.
+#  1. A test completes under each server wire mode (batched and fallback) at
+#     wire version 2, the run-record carries the v2 schema with the
+#     estimator/regime tail, and the server counts the session it served.
+#  2. A keyed server refuses an untokened client — observable in both the
+#     exit status and the auth-reject counter — and an expired-token one,
+#     opens no session for a datagram shaped like the retired version-1
+#     session request, and admits a tokened client.
 #
 # All listeners bind ephemeral ports; addresses are scraped from logs.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
-trap 'kill ${PIDS:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
-PIDS=
+# start_server runs in a command substitution (a subshell), so it records
+# server PIDs in a file the EXIT trap can read.
+trap 'kill $(cat "$WORK/pids" 2>/dev/null) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/swiftest" ./cmd/swiftest
 
@@ -24,7 +25,7 @@ start_server() {
   "$WORK/swiftest" serve -addr 127.0.0.1:0 -uplink 100 -metrics 127.0.0.1:0 "$@" \
     > "$log" 2>&1 &
   local pid=$!
-  PIDS="$PIDS $pid"
+  echo "$pid" >> "$WORK/pids"
   local serve= metrics=
   for i in $(seq 1 50); do
     serve="$(sed -n 's/^swiftest server listening on \([^ ]*\).*/\1/p' "$log")"
@@ -50,7 +51,7 @@ run_test() { # run_test <outfile> <args...>
   "$WORK/swiftest" test -max 2s "$@" > "$out" 2>"$out.err"
 }
 
-expect_proto() { # expect_proto <outfile> <v1|v2> <label>
+expect_proto() { # expect_proto <outfile> <v2> <label>
   grep -q "^protocol  : $2\$" "$1" || {
     echo "$3: expected negotiated protocol $2:" >&2
     cat "$1" >&2
@@ -58,19 +59,12 @@ expect_proto() { # expect_proto <outfile> <v1|v2> <label>
   }
 }
 
-# --- 1-3: open dual-stack server, both wire modes ---------------------------
+# --- 1: open server, both wire modes ----------------------------------------
 for mode in auto fallback; do
   read -r ADDR METRICS <<< "$(start_server "$WORK/serve-$mode.log" -wire "$mode")"
 
-  run_test "$WORK/v1-$mode.txt" -servers "$ADDR@100" -protocol v1
-  expect_proto "$WORK/v1-$mode.txt" v1 "v1 client, $mode server"
-
-  run_test "$WORK/v2-$mode.txt" -servers "$ADDR@100" -protocol v2 \
-    -trace "$WORK/v2-$mode.jsonl"
-  expect_proto "$WORK/v2-$mode.txt" v2 "v2 client, $mode server"
-
-  run_test "$WORK/auto-$mode.txt" -servers "$ADDR@100"
-  expect_proto "$WORK/auto-$mode.txt" v2 "auto client, $mode server"
+  run_test "$WORK/v2-$mode.txt" -servers "$ADDR@100" -trace "$WORK/v2-$mode.jsonl"
+  expect_proto "$WORK/v2-$mode.txt" v2 "client, $mode server"
 
   head -1 "$WORK/v2-$mode.jsonl" | grep -q '"schema":"swiftest-run-record/v2"' || {
     echo "run-record header missing the v2 schema tag ($mode):" >&2
@@ -84,43 +78,58 @@ for mode in auto fallback; do
     }
   done
 
-  # The server saw exactly the sessions we opened, and the v2 ones as v2.
+  # The server saw exactly the session we opened.
   curl -fsS "http://$METRICS/metrics" > "$WORK/metrics-$mode.txt"
-  grep -q '^swiftest_server_v2_sessions_total 2' "$WORK/metrics-$mode.txt" || {
-    echo "expected 2 v2 sessions on the $mode server:" >&2
-    grep '^swiftest_server_\(v2_\)\?sessions' "$WORK/metrics-$mode.txt" >&2
+  grep -q '^swiftest_server_sessions_started_total 1$' "$WORK/metrics-$mode.txt" || {
+    echo "expected 1 session on the $mode server:" >&2
+    grep '^swiftest_server_sessions' "$WORK/metrics-$mode.txt" >&2
     exit 1
   }
 done
 
-# --- 4: lease-auth rejection ------------------------------------------------
+# --- 2: lease-auth rejection ------------------------------------------------
 KEY=5857300629132885844   # arbitrary non-zero deployment key
 read -r ADDR METRICS <<< "$(start_server "$WORK/serve-keyed.log" -authkey "$KEY")"
 
-if run_test "$WORK/noauth.txt" -servers "$ADDR@100" -protocol v2; then
-  echo "untokened v2 client was admitted by a keyed server:" >&2
-  cat "$WORK/noauth.txt" >&2
-  exit 1
-fi
-grep -q "auth" "$WORK/noauth.txt.err" || {
-  echo "rejection did not name auth:" >&2
-  cat "$WORK/noauth.txt.err" >&2
-  exit 1
+expect_refused() { # expect_refused <outfile> <label> <args...>
+  local out="$1" label="$2"; shift 2
+  if run_test "$out" -servers "$ADDR@100" "$@"; then
+    echo "$label was admitted by a keyed server:" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+  grep -q "auth" "$out.err" || {
+    echo "$label: rejection did not name auth:" >&2
+    cat "$out.err" >&2
+    exit 1
+  }
 }
+expect_refused "$WORK/noauth.txt" "untokened client"
+EXPIRED="$("$WORK/swiftest" token -authkey "$KEY" -server 0 -seq 1 -ttl 1ms)"
+sleep 0.1
+expect_refused "$WORK/expired.txt" "expired-token client" -token "$EXPIRED"
+
+# A datagram shaped like the retired version-1 session request (magic "WT",
+# version 1, type 3, test ID, rate) must open nothing on the keyed server.
+HOST="${ADDR%:*}" PORT="${ADDR##*:}"
+printf '\x57\x54\x01\x03\x00\x00\x00\x00\x00\x00\x00\x2a\x00\x00\x27\x10' > "/dev/udp/$HOST/$PORT"
+sleep 0.2
+
 curl -fsS "http://$METRICS/metrics" > "$WORK/metrics-keyed.txt"
 REJECTS="$(sed -n 's/^swiftest_server_auth_rejects_total \([0-9]*\)$/\1/p' "$WORK/metrics-keyed.txt")"
-if [ -z "$REJECTS" ] || [ "$REJECTS" -lt 1 ]; then
-  echo "auth-reject counter did not move:" >&2
+if [ -z "$REJECTS" ] || [ "$REJECTS" -lt 2 ]; then
+  echo "auth-reject counter did not count both refusals:" >&2
   grep '^swiftest_server_auth' "$WORK/metrics-keyed.txt" >&2 || true
   exit 1
 fi
+grep -q '^swiftest_server_sessions_started_total 0$' "$WORK/metrics-keyed.txt" || {
+  echo "keyed server opened a session without a valid token:" >&2
+  grep '^swiftest_server_sessions' "$WORK/metrics-keyed.txt" >&2
+  exit 1
+}
 
 TOKEN="$("$WORK/swiftest" token -authkey "$KEY" -server 0 -seq 1)"
-run_test "$WORK/auth.txt" -servers "$ADDR@100" -protocol v2 -token "$TOKEN"
+run_test "$WORK/auth.txt" -servers "$ADDR@100" -token "$TOKEN"
 expect_proto "$WORK/auth.txt" v2 "tokened client, keyed server"
 
-# A v1 client has no token field and must still be served by a keyed server.
-run_test "$WORK/v1-keyed.txt" -servers "$ADDR@100" -protocol v1
-expect_proto "$WORK/v1-keyed.txt" v1 "v1 client, keyed server"
-
-echo "protocol smoke passed: v1 fallback, v2 on both wire modes, auth rejects=$REJECTS"
+echo "protocol smoke passed: both wire modes, auth rejects=$REJECTS, version-1 request ignored"

@@ -34,7 +34,7 @@ type LinkConfig struct {
 	Seed int64
 	// Profile, when non-nil, drives the link through a RAN scenario's
 	// state machine seeded from Seed — every runner that accepts a
-	// LinkConfig (SimulateTest, RunBTSApp, RunFAST, RunFastBTS,
+	// LinkConfig (SimulateTestContext, RunBTSApp, RunFAST, RunFastBTS,
 	// RunTCPSwiftest) then sees the same replayable state chain, so
 	// baselines and Swiftest are comparable on identical dynamics.
 	// CapacityMbps and RTT are ignored while a profile drives the link.
@@ -75,13 +75,6 @@ func (c LinkConfig) newLink(profile *Profile, trace *Trace, metrics *MetricsRegi
 	return linksim.New(cfg, c.Seed)
 }
 
-// SimulateTest runs one Swiftest bandwidth test on an emulated access link
-// in virtual time (microseconds of wall clock). It exercises exactly the
-// same probing engine as Test.
-func SimulateTest(link LinkConfig, model *Model) (Result, error) {
-	return SimulateTestContext(context.Background(), link, model, SimulateOptions{})
-}
-
 // SimServer describes one emulated test server in a multi-server
 // simulation (SimulateOptions.Servers). Servers are consulted
 // nearest-first in slice order, mirroring the real transport's RTT-ranked
@@ -116,20 +109,13 @@ type SimulateOptions struct {
 	RegimeHint bool
 }
 
-// SimulateTestObserved is SimulateTestContext with a background context.
-//
-// Deprecated: use SimulateTestContext; the options struct now embeds
-// SessionOptions shared with the live runner.
-func SimulateTestObserved(link LinkConfig, model *Model, opts SimulateOptions) (Result, error) {
-	return SimulateTestContext(context.Background(), link, model, opts)
-}
-
-// SimulateTestContext runs one Swiftest test on an emulated link with
-// options attached: the emulator reuses the exact instrumentation of the
-// live path, so run-records from virtual and real tests are directly
-// comparable. The emulator runs in virtual time, so the context matters only
-// for aborting long parameter sweeps between samples; cancellation returns
-// an error wrapping ErrTestAborted, like a live test.
+// SimulateTestContext runs one Swiftest bandwidth test on an emulated access
+// link in virtual time (microseconds of wall clock). It exercises exactly
+// the same probing engine as TestContext and reuses the exact
+// instrumentation of the live path, so run-records from virtual and real
+// tests are directly comparable. The context matters only for aborting long
+// parameter sweeps between samples; cancellation returns an error wrapping
+// ErrTestAborted, like a live test.
 func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opts SimulateOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,7 +180,7 @@ type BaselineReport struct {
 	Duration      time.Duration
 	DataMB        float64
 	Connections   int
-	// Estimates is the protocol-v2 estimator family over the baseline's
+	// Estimates is the estimator family over the baseline's
 	// 50 ms samples — the same struct Result carries, so baselines and
 	// Swiftest are comparable estimator by estimator.
 	Estimates Estimates

@@ -14,9 +14,10 @@
 //	srv, _ := swiftest.NewServer("0.0.0.0:7007", swiftest.ServerOptions{UplinkMbps: 100})
 //	defer srv.Close()
 //
-//	res, err := swiftest.Test(swiftest.TestOptions{
+//	model, _ := swiftest.DefaultModel(swiftest.Tech5G)
+//	res, err := swiftest.TestContext(ctx, swiftest.TestOptions{
 //		Servers: []swiftest.ServerAddr{{Addr: "203.0.113.7:7007", UplinkMbps: 100}},
-//		Model:   swiftest.DefaultModel(swiftest.Tech5G),
+//		Model:   model,
 //	})
 //
 // The test transport is the paper's UDP probing protocol; the probing logic
@@ -29,7 +30,7 @@
 //
 // The same engine runs on a virtual-time link emulator, which is how the
 // repository regenerates every figure of the paper quickly and
-// deterministically; see SimulateTest, the baselines (RunBTSApp, RunFAST,
+// deterministically; see SimulateTestContext, the baselines (RunBTSApp, RunFAST,
 // RunFastBTS), and the measurement/deployment sub-APIs in this package.
 package swiftest
 
@@ -67,8 +68,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // Trace records the structured events of one bandwidth test (rate
 // escalations, 50 ms samples, convergence checks, server additions) into a
 // bounded ring. Dump it as a JSONL run-record with WriteJSONL. Event
-// timestamps are the probe's elapsed time: virtual under SimulateTest, wall
-// time under Test — the record schema is identical in both worlds.
+// timestamps are the probe's elapsed time: virtual under
+// SimulateTestContext, wall time under TestContext — the record schema is
+// identical in both worlds.
 type Trace = obs.Trace
 
 // TraceEvent is one structured trace record.
@@ -137,11 +139,11 @@ func LoadModel(path string) (*Model, error) {
 	return &m, nil
 }
 
-// Estimates is the protocol-v2 estimator family computed over a test's 50 ms
-// samples: the paper's crossing estimate plus the trimmed-mean,
-// sustained-peak and P90–P80 summaries. Every runner — live Test, emulated
-// SimulateTest, the baselines — reports the same struct, so results are
-// comparable across worlds.
+// Estimates is the estimator family computed over a test's 50 ms samples:
+// the paper's crossing estimate plus the trimmed-mean, sustained-peak and
+// P90–P80 summaries. Every runner — live TestContext, emulated
+// SimulateTestContext, the baselines — reports the same struct, so results
+// are comparable across worlds.
 type Estimates = estimate.Estimates
 
 // BDPRegime classifies how a test's joint (bandwidth, RTT) trajectory
@@ -203,9 +205,8 @@ type Result struct {
 	// Regime classifies Trajectory by how the bandwidth-delay product
 	// evolved — the Figure-17-style view of what bounded the test.
 	Regime BDPRegime
-	// ProtocolVersion is the negotiated wire generation of a live test
-	// (2 for the two-channel protocol, 1 for legacy); zero for emulated
-	// tests, which have no wire.
+	// ProtocolVersion is the wire version a live test negotiated, always 2;
+	// zero for emulated tests, which have no wire.
 	ProtocolVersion uint8
 }
 
@@ -253,10 +254,10 @@ type ServerOptions struct {
 	// portable one-datagram-per-syscall path. Both put byte-identical
 	// datagram streams on the wire.
 	Wire WireMode
-	// AuthKey, when non-zero, requires protocol-v2 clients to present a
-	// session token minted under this key (see MintAuthToken and the fleet
-	// dispatcher's lease tokens). Legacy v1 clients carry no token field
-	// and are always admitted.
+	// AuthKey, when non-zero, requires every client to present a session
+	// token minted under this key (see MintAuthToken and the fleet
+	// dispatcher's lease tokens); absent, forged and expired tokens are
+	// refused with ErrAuthRejected.
 	AuthKey uint64
 }
 
@@ -322,24 +323,7 @@ type ServerAddr struct {
 	UplinkMbps float64 // advertised egress capacity
 }
 
-// Protocol selects the client's wire-protocol policy for live tests.
-type Protocol = transport.Protocol
-
-const (
-	// ProtoAuto negotiates v2 and falls back to v1 against legacy servers.
-	ProtoAuto = transport.ProtoAuto
-	// ProtoV1 pins the legacy single-socket protocol.
-	ProtoV1 = transport.ProtoV1
-	// ProtoV2 requires the two-channel protocol; legacy servers are an
-	// error (wrapping ErrProtocolUnsupported).
-	ProtoV2 = transport.ProtoV2
-)
-
-// ParseProtocol maps a flag value ("auto", "v1", "v2", "1", "2", "") to a
-// Protocol.
-func ParseProtocol(s string) (Protocol, error) { return transport.ParseProtocol(s) }
-
-// AuthToken authenticates a v2 test session against a keyed deployment: the
+// AuthToken authenticates a test session against a keyed deployment: the
 // fleet dispatcher mints one per lease (MintAuthToken) and the client
 // presents it at session setup.
 type AuthToken = wire.Token
@@ -416,9 +400,6 @@ type TestOptions struct {
 	MaxDuration time.Duration
 	// Seed drives test-ID generation; zero derives one from the clock.
 	Seed int64
-	// Protocol is the wire-protocol policy; the zero value (ProtoAuto)
-	// negotiates v2 with v1 fallback.
-	Protocol Protocol
 	// Token authenticates the session against a keyed deployment (see
 	// AuthToken). Leave zero for open deployments.
 	Token AuthToken
@@ -428,14 +409,9 @@ type TestOptions struct {
 	RegimeHint bool
 }
 
-// Test runs one full Swiftest bandwidth test over real UDP: server selection
-// by PING latency, data-driven probing, convergence, and result reporting
-// back to the servers. It is TestContext with a background context.
-func Test(opts TestOptions) (Result, error) {
-	return TestContext(context.Background(), opts)
-}
-
-// TestContext is Test bounded by a context: cancellation or deadline expiry
+// TestContext runs one full Swiftest bandwidth test over real UDP: server
+// selection by PING latency, data-driven probing, convergence, and result
+// reporting back to the servers. Cancellation or deadline expiry on ctx
 // aborts server selection, session setup, and the probing loop at the next
 // sample boundary, returning an error wrapping ErrTestAborted. A context
 // that is already done aborts before a single datagram is sent.
@@ -453,7 +429,7 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 		return Result{}, fmt.Errorf("swiftest: %w (see DefaultModel)", ErrModelRequired)
 	}
 	if opts.Faults != nil {
-		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTest")
+		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTestContext")
 	}
 	pingCount := opts.PingCount
 	if pingCount <= 0 {
@@ -484,7 +460,6 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 	}
 	probe.SetMetrics(opts.Metrics)
 	probe.SetLostAfter(opts.LostAfter)
-	probe.SetProtocol(opts.Protocol)
 	probe.SetToken(opts.Token)
 	if opts.Trace != nil {
 		opts.Trace.SetMeta("source", "udp")
@@ -543,21 +518,6 @@ func PingServer(ctx context.Context, opts PingOptions) (time.Duration, error) {
 		timeout = time.Second
 	}
 	return transport.PingServerContext(ctx, opts.Addr, count, timeout)
-}
-
-// Ping measures the minimum round-trip latency to one test server.
-//
-// Deprecated: use PingServer, which names its parameters and defaults them.
-func Ping(addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return transport.PingServer(addr, count, timeout)
-}
-
-// PingContext is Ping bounded by a context: cancellation or deadline expiry
-// cuts the probe train short.
-//
-// Deprecated: use PingServer.
-func PingContext(ctx context.Context, addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return transport.PingServerContext(ctx, addr, count, timeout)
 }
 
 // ModelStore maintains a bandwidth model refreshed periodically from
