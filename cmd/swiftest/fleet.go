@@ -27,8 +27,8 @@ import (
 // assignResponse is the /assign payload: the lease plus the ranked pool,
 // ready to feed a client's -servers list.
 type assignResponse struct {
-	LeaseServer int                  `json:"lease_server"`
-	LeaseSeq    uint64               `json:"lease_seq"`
+	LeaseServer int                   `json:"lease_server"`
+	LeaseSeq    uint64                `json:"lease_seq"`
 	Servers     []swiftest.ServerAddr `json:"servers"`
 	// Token is the hex session auth token minted for this lease; empty on
 	// open (unkeyed) fleets. Clients present it at session setup.

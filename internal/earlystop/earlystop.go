@@ -41,14 +41,14 @@ const NFeatures = 12
 // FeatureNames labels each feature index, in vector order. The names are
 // embedded in the model artifact so a trained model is self-describing.
 var FeatureNames = [NFeatures]string{
-	"sample_count",    // samples collected so far, scaled by 1/100
-	"tail_spread",     // max/min difference ratio of the trailing window
-	"slope_norm",      // OLS slope of all samples, normalised by their mean
-	"tail_cv",         // coefficient of variation of the trailing window
-	"plateau_ratio",   // mean of the last third over the peak sample
-	"total_cv",        // coefficient of variation of all samples
-	"rtt_inflation",   // mean RTT last third / first third (0 without RTT)
-	"ramp_fraction",   // cc.RampFraction: slow-start-like growth share
+	"sample_count",        // samples collected so far, scaled by 1/100
+	"tail_spread",         // max/min difference ratio of the trailing window
+	"slope_norm",          // OLS slope of all samples, normalised by their mean
+	"tail_cv",             // coefficient of variation of the trailing window
+	"plateau_ratio",       // mean of the last third over the peak sample
+	"total_cv",            // coefficient of variation of all samples
+	"rtt_inflation",       // mean RTT last third / first third (0 without RTT)
+	"ramp_fraction",       // cc.RampFraction: slow-start-like growth share
 	"regime_slowstart",    // ClassifyBDP one-hot
 	"regime_queuebuildup", // ClassifyBDP one-hot
 	"regime_shaping",      // ClassifyBDP one-hot

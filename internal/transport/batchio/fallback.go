@@ -26,7 +26,7 @@ func (o *oneConn) SendBatch(msgs []Message) (int, error) {
 }
 
 // RecvBatch implements Conn with a single blocking read: the fallback
-// delivers batches of one.
+// delivers batches of one, never coalesced.
 func (o *oneConn) RecvBatch(msgs []Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -37,6 +37,7 @@ func (o *oneConn) RecvBatch(msgs []Message) (int, error) {
 		return 0, err
 	}
 	m.N = n
+	m.Seg = 0
 	if m.Addr != nil {
 		fillFromAddrPort(m.Addr, ap)
 	}

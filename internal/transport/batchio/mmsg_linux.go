@@ -42,6 +42,7 @@ type mmsgConn struct {
 	rhdrs       [BatchSize]mmsghdr
 	riov        [BatchSize]syscall.Iovec
 	rname       [BatchSize]syscall.RawSockaddrInet6
+	rctl        [BatchSize][groCtlLen]byte // UDP_GRO control message per receive
 	recvReadyFn func(fd uintptr) bool
 	recvCount   int
 	recvGot     int
@@ -126,7 +127,8 @@ func (m *mmsgConn) sendReady(fd uintptr) bool {
 
 // RecvBatch implements Conn: one recvmmsg drains up to min(len(msgs),
 // BatchSize) queued datagrams; it blocks (via the poller, honouring the read
-// deadline) only when the queue is empty.
+// deadline) only when the queue is empty. On a socket with SetReceiveOffload
+// each message may be a coalesced receive, its segment size in Seg.
 func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -147,7 +149,9 @@ func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 			Namelen: syscall.SizeofSockaddrInet6,
 			Iov:     iov,
 			Iovlen:  1,
+			Control: &m.rctl[i][0],
 		}
+		hdr.SetControllen(groCtlLen)
 		m.rhdrs[i].Len = 0
 	}
 	m.recvCount = n
@@ -163,6 +167,10 @@ func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 	}
 	for i := 0; i < m.recvGot; i++ {
 		msgs[i].N = int(m.rhdrs[i].Len)
+		msgs[i].Seg = 0
+		if c := m.rhdrs[i].Hdr.Controllen; c > 0 {
+			msgs[i].Seg = groSegment(m.rctl[i][:min(c, groCtlLen)])
+		}
 		if msgs[i].Addr != nil {
 			decodeSockaddr(msgs[i].Addr, &m.rname[i])
 		}

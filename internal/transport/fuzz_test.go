@@ -41,7 +41,10 @@ const fuzzKey = 0x5eed5eed5eed5eed
 //     sessions, none of them retired;
 //   - a session only ever appears on a Setup carrying a verified, unexpired
 //     token for that session ID;
-//   - a version-1 frame other than Ping creates no state and draws no reply.
+//   - a version-1 frame other than Ping creates no state and draws no reply;
+//   - a session's nonce is 0 or one its control peer sent in a Hello, and
+//     its data-channel peer changes only on a DataOpen that names the
+//     session and repeats that nonce.
 //
 // Run with `go test -fuzz=FuzzServerPackets ./internal/transport/`; the seed
 // corpus alone runs as a regular test.
@@ -56,9 +59,11 @@ func FuzzServerPackets(f *testing.F) {
 		}
 		return out
 	}
-	// A clean handshake, rate change and Bye from peer 0 for session 1.
-	f.Add(script(0, step(opHello, 0, 0x22), step(opSetup, 0, 0), step(opDataOpen, 1, 0),
-		step(opRate, 0, 20), step(opAdvance, 0, 1), step(opBye, 0, 0)))
+	// A clean handshake (the DataOpen from peer 1 repeats the Hello nonce,
+	// 1), a DataOpen with the wrong nonce from peer 2, a rate change and a
+	// Bye from peer 0 for session 1.
+	f.Add(script(0, step(opHello, 0, 0x22), step(opSetup, 0, 0), step(opDataOpen, 1, 1),
+		step(opDataOpen, 2, 9), step(opRate, 0, 20), step(opAdvance, 0, 1), step(opBye, 0, 0)))
 	// The same session replayed from another peer, then its data channel
 	// claimed by a third.
 	f.Add(script(0, step(opSetup, 0, 0), step(opSetup, 1, 0), step(opSetupExpiring, 0, 0),
@@ -107,10 +112,16 @@ func FuzzServerPackets(f *testing.F) {
 		now := time.Now()
 		nowMS := uint64(now.UnixMilli())
 		var out []byte
+		// helloNonces holds every nonce each peer sent in a Hello.
+		helloNonces := make([]map[uint64]bool, len(peers))
+		for i := range helloNonces {
+			helloNonces[i] = map[uint64]bool{}
+		}
 		for len(script) >= 3 {
 			op, sel, arg := script[0]%numOps, script[1], script[2]
 			script = script[3:]
-			peer := peers[int(sel)%len(peers)]
+			peerIdx := int(sel) % len(peers)
+			peer := peers[peerIdx]
 			// Four session IDs shared by every peer: replays, collisions
 			// and spoofed data channels all happen.
 			sid := uint64(sel>>2)%4 + 1
@@ -122,6 +133,7 @@ func FuzzServerPackets(f *testing.F) {
 			case opHello:
 				h := wire.Hello{MinVersion: arg >> 4, MaxVersion: arg & 0xf, Caps: uint32(arg), Nonce: sid}
 				pkt = h.AppendTo(nil)
+				helloNonces[peerIdx][sid] = true
 			case opSetup:
 				setup.Token = wire.MintToken(fuzzKey, 1, sid, 0)
 				admits = true
@@ -173,6 +185,10 @@ func FuzzServerPackets(f *testing.F) {
 			}
 
 			before := liveSessions(s)
+			bound := make(map[*session]*net.UDPAddr, len(before))
+			for sess := range before {
+				bound[sess] = sess.peer.Load()
+			}
 			s.mu.Lock()
 			hellos, attempts := len(s.helloCaps), len(s.hsAttempts)
 			s.mu.Unlock()
@@ -183,6 +199,13 @@ func FuzzServerPackets(f *testing.F) {
 			for sess := range liveSessions(s) {
 				if !before[sess] && (!admits || sess.id != sid) {
 					t.Fatalf("op %d created session %d without a verified, unexpired token", op, sess.id)
+				}
+				if !before[sess] && sess.nonce != 0 && !helloNonces[peerIdx][sess.nonce] {
+					t.Fatalf("session %d took nonce %d, which its peer never sent in a Hello", sess.id, sess.nonce)
+				}
+				if before[sess] && sess.peer.Load() != bound[sess] &&
+					(op != opDataOpen || sess.id != sid || uint64(arg) != sess.nonce) {
+					t.Fatalf("op %d (nonce %d) rebound session %d, whose nonce is %d", op, arg, sess.id, sess.nonce)
 				}
 			}
 			if ver, typ, err := wire.PeekVersion(pkt); err == nil && ver == wire.Version && typ != wire.TypePing {

@@ -12,6 +12,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
@@ -29,12 +30,17 @@ type identityScript struct {
 	rekbps   uint32 // rate set on session 0 halfway through
 	sessions int
 	plan     *faults.Plan
+	// gro reads the data sockets with UDP receive offload, split back into
+	// datagrams, instead of one datagram per read.
+	gro bool
 }
 
 // wireCapture is everything one scripted run produced: the per-session raw
-// datagram streams, in arrival order per socket.
+// datagram streams, in arrival order per socket, and how many receives the
+// kernel coalesced (gro runs only).
 type wireCapture struct {
-	streams [][][]byte
+	streams   [][][]byte
+	coalesced int
 }
 
 // runScripted drives a wheel-less server through the script in the given
@@ -58,6 +64,11 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 	sessions := make([]testSession, sc.sessions)
 	for i := range sessions {
 		sessions[i] = openSession(t, srv, uint64(100+i), sc.rateKbps, wire.Token{})
+		if sc.gro {
+			if err := batchio.SetReceiveOffload(sessions[i].data); err != nil {
+				t.Skipf("no UDP receive offload: %v", err)
+			}
+		}
 	}
 	waitSessions(t, srv, sc.sessions)
 
@@ -72,7 +83,13 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 
 	capd := wireCapture{streams: make([][][]byte, sc.sessions)}
 	for i, ts := range sessions {
-		capd.streams[i] = drainData(t, ts.data)
+		if sc.gro {
+			var coalesced int
+			capd.streams[i], coalesced = drainCoalesced(t, ts.data)
+			capd.coalesced += coalesced
+		} else {
+			capd.streams[i] = drainData(t, ts.data)
+		}
 	}
 	return capd
 }
@@ -124,6 +141,38 @@ func drainData(t *testing.T, conn *net.UDPConn) [][]byte {
 		var d wire.Data2
 		if d.Decode(buf[:n]) == nil {
 			out = append(out, append([]byte(nil), buf[:n]...))
+		}
+	}
+}
+
+// drainCoalesced is drainData through the client's offload receive path:
+// batched receives into session-sized buffers, each split into datagrams by
+// its segment size. It also reports how many receives the kernel coalesced.
+func drainCoalesced(t *testing.T, conn *net.UDPConn) (out [][]byte, coalesced int) {
+	t.Helper()
+	bio := batchio.New(conn, batchio.ModeAuto)
+	msgs := make([]batchio.Message, clientRecvBufs)
+	for i := range msgs {
+		msgs[i].Buf = make([]byte, clientRecvBufSize)
+	}
+	for {
+		_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		n, err := bio.RecvBatch(msgs)
+		if err != nil {
+			return out, coalesced
+		}
+		for _, m := range msgs[:n] {
+			if m.Seg > 0 {
+				coalesced++
+			}
+			for rest := m.Buf[:m.N]; len(rest) > 0; {
+				var pkt []byte
+				pkt, rest = batchio.NextSegment(rest, m.Seg)
+				var d wire.Data2
+				if d.Decode(pkt) == nil {
+					out = append(out, append([]byte(nil), pkt...))
+				}
+			}
 		}
 	}
 }
@@ -190,6 +239,42 @@ func TestBatchedFallbackBitIdentity(t *testing.T) {
 	}
 	if len(seqs) == int(maxSeq) {
 		t.Error("no sequence gaps: the burst-loss fault never fired, the script is too tame")
+	}
+}
+
+// TestReceiveOffloadStreamIdentity: the server's offload sends read through
+// UDP receive offload and split by segment size give the byte-identical
+// datagram stream that one-datagram reads give, under the same burst loss,
+// rate cap and blackout. The offload run must actually coalesce, or it
+// proves nothing.
+func TestReceiveOffloadStreamIdentity(t *testing.T) {
+	sc := identityScript{
+		ticks:    60,
+		rateKbps: 20000,
+		rekbps:   35000,
+		sessions: 2,
+		plan:     identityPlan(),
+	}
+	plain := runScripted(t, WireAuto, sc)
+	sc.gro = true
+	gro := runScripted(t, WireAuto, sc)
+
+	for i := range plain.streams {
+		a, b := gro.streams[i], plain.streams[i]
+		if len(a) == 0 {
+			t.Fatalf("session %d: offload run produced no datagrams", i)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("session %d: offload receive gave %d datagrams, plain reads %d", i, len(a), len(b))
+		}
+		for j := range a {
+			if !bytes.Equal(a[j], b[j]) {
+				t.Fatalf("session %d datagram %d differs between offload and plain receive", i, j)
+			}
+		}
+	}
+	if gro.coalesced == 0 {
+		t.Error("no receive was coalesced: the offload path was never exercised")
 	}
 }
 
