@@ -185,7 +185,11 @@ type Result struct {
 	InitialRateMbps float64
 	// Jitter is the interarrival-jitter estimate of the probe stream
 	// (RFC 3550 style), a free link-quality diagnostic. Zero for emulated
-	// tests.
+	// tests. The arrival clock is read once per receive syscall, not once
+	// per datagram: on the batched path (WireAuto on Linux) the datagrams
+	// of one receive, or of one receive-offload super-packet, share an
+	// arrival time, so jitter within one receive is not seen. Over loopback
+	// this reads a few microseconds.
 	Jitter time.Duration
 	// ServersUsed counts the test servers that carried probe traffic.
 	ServersUsed int
