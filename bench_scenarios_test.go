@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/exper"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
@@ -108,7 +109,7 @@ func BenchmarkCampaign(b *testing.B) {
 	cfg := exper.CampaignConfig{
 		Profiles:   []string{"4g-static", "wifi-cafe"},
 		Algorithms: []string{"fastbts"},
-		FaultPlans: []exper.NamedFaultPlan{{Name: "none"}},
+		FaultPlans: []paired.NamedFaultPlan{{Name: "none"}},
 		Runs:       1,
 		Seed:       3,
 		Workers:    runtime.NumCPU(),

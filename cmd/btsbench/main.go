@@ -679,11 +679,11 @@ func (r *runner) scenarios() {
 }
 
 // earlystop traces the learned-termination front: the §5.1 crossing
-// baseline versus the earlystop policy at a sweep of stop thresholds.
-// Campaign cells seed by algorithm name, so cross-algorithm campaign rows
-// run different links; this sweep instead runs every policy on identical
-// seeded links against fault-free flooding ground truth — the only
-// comparison where accuracy/duration/data deltas measure the policy alone.
+// baseline versus the earlystop policy at a sweep of stop thresholds. It
+// runs on the same paired harness as the campaign (internal/paired): every
+// policy on identical seeded links against one fault-free flooding ground
+// truth, so accuracy/duration/data deltas measure the policy alone. Unlike
+// the campaign, it traces several thresholds of one model.
 func (r *runner) earlystop() {
 	header("learned early termination — paired front (crossing vs earlystop thresholds)")
 	cfg := earlystop.EvalConfig{

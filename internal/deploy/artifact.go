@@ -38,6 +38,11 @@ func (a *Artifact) Validate() error {
 	if a.Schema != ArtifactSchema {
 		return fmt.Errorf("deploy: artifact schema %q, want %q", a.Schema, ArtifactSchema)
 	}
+	for _, pu := range a.Plan.Purchases {
+		if pu.Count < 0 {
+			return fmt.Errorf("deploy: artifact purchases %d of %q, want a non-negative count", pu.Count, pu.Config.Name)
+		}
+	}
 	if a.Plan.Servers() == 0 {
 		return errors.New("deploy: artifact plan has no servers")
 	}

@@ -102,3 +102,15 @@ func TestArtifactValidateRejectsDrift(t *testing.T) {
 		t.Error("unknown field accepted")
 	}
 }
+
+// TestArtifactValidateRejectsNegativeCount: counts −5 and 6 sum to a
+// 1-server plan, yet a dispatcher built from it would register 6 slots.
+func TestArtifactValidateRejectsNegativeCount(t *testing.T) {
+	plan := Plan{Purchases: []Purchase{
+		{Config: ServerConfig{Name: "a", BandwidthMbps: 100}, Count: -5},
+		{Config: ServerConfig{Name: "b", BandwidthMbps: 100}, Count: 6},
+	}}
+	if err := NewArtifact(Workload{}, plan, nil).Validate(); err == nil {
+		t.Error("negative purchase count accepted")
+	}
+}

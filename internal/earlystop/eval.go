@@ -3,13 +3,9 @@ package earlystop
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 
-	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
-	"github.com/mobilebandwidth/swiftest/internal/dataset"
-	"github.com/mobilebandwidth/swiftest/internal/linksim"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
@@ -17,17 +13,17 @@ import (
 const EvalReportSchema = "swiftest-earlystop-eval/v1"
 
 // EvalConfig parameterises a paired policy evaluation: every point runs on
-// the identical seeded links — per-run seeds hash only (profile, fault
-// case, run), never the policy — so differences between points measure the
-// policies, not link noise.
+// the identical seeded links of one paired.Sweep — per-run seeds hash only
+// (profile, fault plan, run), never the policy — so differences between
+// points measure the policies, not link noise.
 type EvalConfig struct {
 	// Profiles are built-in RAN profile names; empty selects the whole
 	// library.
 	Profiles []string
-	// FaultCases are the fault plans swept; empty selects
-	// DefaultFaultCases.
-	FaultCases []FaultCase
-	// Runs is the number of seeded runs per (profile, fault case) cell.
+	// FaultPlans are the fault plans swept; empty selects
+	// paired.BuiltinFaultPlans.
+	FaultPlans []paired.NamedFaultPlan
+	// Runs is the number of seeded runs per (profile, fault plan) cell.
 	// Zero selects 3.
 	Runs int
 	// Seed roots every per-run seed; the report is a pure function of
@@ -73,25 +69,13 @@ type EvalReport struct {
 }
 
 // Evaluate measures the crossing policy and the earlystop policy (at one or
-// more thresholds) over the full profiles × fault cases matrix, every
+// more thresholds) over the full profiles × fault plans matrix, every
 // policy on the identical seeded links, against fault-free flooding ground
 // truth. The report is a pure function of (cfg, Seed).
 func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
-	if len(cfg.Profiles) == 0 {
-		cfg.Profiles = ranprofile.Names()
-	}
-	if len(cfg.FaultCases) == 0 {
-		cfg.FaultCases = DefaultFaultCases()
-	}
-	for _, fc := range cfg.FaultCases {
-		if fc.Plan != nil {
-			if err := fc.Plan.Validate(); err != nil {
-				return nil, fmt.Errorf("earlystop: fault case %q: %w", fc.Name, err)
-			}
-		}
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 3
+	sweep, err := paired.Sweep{Profiles: cfg.Profiles, Plans: cfg.FaultPlans, Runs: cfg.Runs, Seed: cfg.Seed}.WithDefaults()
+	if err != nil {
+		return nil, err
 	}
 	model := cfg.Model
 	if model == nil {
@@ -107,78 +91,58 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	// policies[0] is crossing (nil Terminate); the rest are earlystop
 	// variants of the same model at each threshold.
 	policies := make([]core.TerminationPolicy, 1, 1+len(thresholds))
-	policies[0] = nil
 	for _, t := range thresholds {
 		variant := *model
 		variant.Threshold = t
 		policies = append(policies, NewPolicy(&variant))
 	}
 
-	points := make([]EvalPoint, len(policies))
-	var planNames []string
-	for _, fc := range cfg.FaultCases {
-		planNames = append(planNames, fc.Name)
+	type scored struct {
+		accuracy, durationMS, dataMB float64
+		early                        bool
 	}
-
-	for _, name := range cfg.Profiles {
-		profile, err := ranprofile.Get(name)
+	runs, err := paired.Map(ctx, sweep, func(r paired.Run) ([]scored, error) {
+		truth, err := r.Truth()
 		if err != nil {
 			return nil, err
 		}
-		gmmModel, err := dataset.TechModel(profile.DatasetTech(), 2021)
-		if err != nil {
-			return nil, fmt.Errorf("earlystop: %v", err)
-		}
-		for _, fc := range cfg.FaultCases {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%s|%s", name, fc.Name)
-			cellHash := h.Sum64()
-			for run := 0; run < cfg.Runs; run++ {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("earlystop: eval cancelled: %w", err)
-				}
-				runSeed := int64(stats.SplitMix64(uint64(cfg.Seed) ^ cellHash ^ uint64(run)*stats.SplitMix64Gamma))
-
-				// Fault-free flooding truth on the identical link.
-				truthMachine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
-				truthLink, err := linksim.New(linksim.Config{StateHook: truthMachine.Hook()}, runSeed)
-				if err != nil {
-					return nil, fmt.Errorf("earlystop: truth link: %w", err)
-				}
-				truth := (&baseline.BTSApp{}).Run(truthLink).Result
-
-				for pi, policy := range policies {
-					machine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
-					link, err := linksim.New(linksim.Config{
-						StateHook: machine.Hook(),
-						Impair:    impairFromPlan(fc.Plan),
-					}, runSeed)
-					if err != nil {
-						return nil, fmt.Errorf("earlystop: eval link: %w", err)
-					}
-					probe := core.NewSimProbe(link)
-					res, err := core.Run(probe, core.Config{
-						Model:       gmmModel,
-						MaxDuration: replayMaxDuration,
-						Terminate:   policy,
-					})
-					probe.Close()
-					if err != nil {
-						return nil, fmt.Errorf("earlystop: eval on %s: %w", name, err)
-					}
-					pt := &points[pi]
-					pt.MeanAccuracy += 1 - deviation(res.Bandwidth, truth)
-					pt.MeanDurationMS += float64(res.Duration.Milliseconds())
-					pt.MeanDataMB += res.DataMB
-					if pi > 0 && res.Converged && !crossingStopped(res.Samples) {
-						pt.EarlyStops++
-					}
-					pt.Runs++
-				}
+		out := make([]scored, len(policies))
+		for pi, policy := range policies {
+			res, _, err := r.Engine(policy)
+			if err != nil {
+				return nil, err
+			}
+			out[pi] = scored{
+				accuracy:   1 - stats.Deviation(res.Bandwidth, truth),
+				durationMS: float64(res.Duration.Milliseconds()),
+				dataMB:     res.DataMB,
+			}
+			if pi > 0 && res.Converged {
+				// A converged stream the crossing rule never stops on was
+				// stopped by the model, not by the crossing fallback.
+				_, crossed := crossingReplay(res.Samples)
+				out[pi].early = !crossed
 			}
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("earlystop: eval: %w", err)
 	}
 
+	points := make([]EvalPoint, len(policies))
+	for _, run := range runs {
+		for pi, s := range run {
+			pt := &points[pi]
+			pt.MeanAccuracy += s.accuracy
+			pt.MeanDurationMS += s.durationMS
+			pt.MeanDataMB += s.dataMB
+			if s.early {
+				pt.EarlyStops++
+			}
+			pt.Runs++
+		}
+	}
 	for pi := range points {
 		pt := &points[pi]
 		if pt.Runs > 0 {
@@ -197,22 +161,9 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	return &EvalReport{
 		Schema:     EvalReportSchema,
 		Seed:       cfg.Seed,
-		Runs:       cfg.Runs,
-		Profiles:   cfg.Profiles,
-		FaultPlans: planNames,
+		Runs:       sweep.Runs,
+		Profiles:   sweep.Profiles,
+		FaultPlans: sweep.PlanNames(),
 		Points:     points,
 	}, nil
-}
-
-// crossingStopped reports whether the §5.1 crossing rule would have stopped
-// somewhere within the sample stream — used to tell a model-fired early
-// stop from a converged crossing fallback.
-func crossingStopped(samples []float64) bool {
-	var cp core.CrossingPolicy
-	for n := 1; n <= len(samples); n++ {
-		if d := cp.Decide(samples[:n], nil, 0); d.Stop {
-			return true
-		}
-	}
-	return false
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
@@ -94,7 +95,7 @@ func TestPolicyEngineDeterministic(t *testing.T) {
 		defer probe.Close()
 		res, err := core.Run(probe, core.Config{
 			Model:       model,
-			MaxDuration: replayMaxDuration,
+			MaxDuration: paired.MaxDuration,
 			Terminate:   NewPolicy(nil),
 		})
 		if err != nil {
@@ -111,7 +112,7 @@ func TestPolicyEngineDeterministic(t *testing.T) {
 func TestReplayDeterministicRows(t *testing.T) {
 	cfg := ReplayConfig{
 		Profiles:   []string{"wifi-cafe"},
-		FaultCases: []FaultCase{{Name: "none"}},
+		FaultPlans: []paired.NamedFaultPlan{{Name: "none"}},
 		Runs:       2,
 		Seed:       5,
 	}

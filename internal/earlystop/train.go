@@ -3,57 +3,26 @@ package earlystop
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
-	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
-	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
-	"github.com/mobilebandwidth/swiftest/internal/faults"
-	"github.com/mobilebandwidth/swiftest/internal/gmm"
-	"github.com/mobilebandwidth/swiftest/internal/linksim"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
-// FaultCase pairs a display name with a link-wide fault plan for the
-// training replay. A nil Plan is the fault-free control.
-type FaultCase struct {
-	Name string
-	Plan *faults.Plan
-}
-
-// DefaultFaultCases mirrors the standard campaign fault plans
-// (exper.BuiltinFaultPlans): the fault-free control, a mid-test burst-loss
-// episode, and a short access blackout. Training sees the same adversity
-// the evaluation campaign sweeps.
-func DefaultFaultCases() []FaultCase {
-	return []FaultCase{
-		{Name: "none"},
-		{Name: "burst-loss", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.BurstLoss, Server: faults.AllServers, AtMS: 800, DurationMS: 600, Prob: 0.35},
-		}}},
-		{Name: "blackout", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.Blackout, Server: faults.AllServers, AtMS: 1000, DurationMS: 350},
-		}}},
-	}
-}
-
-// replayMaxDuration bounds each replayed test — the field-deployment worst
-// case the engine itself defaults to in campaigns (§5.3).
-const replayMaxDuration = 4500 * time.Millisecond
-
 // ReplayConfig parameterises the labeling replay: the cross product of
-// profiles × fault cases, each run Runs times on seeded links.
+// profiles × fault plans, each run Runs times on the seeded links of one
+// paired.Sweep. Training sees the same adversity the campaign and the
+// evaluator sweep.
 type ReplayConfig struct {
 	// Profiles are built-in RAN profile names; empty selects the whole
 	// library.
 	Profiles []string
-	// FaultCases are the fault plans to sweep; empty selects
-	// DefaultFaultCases.
-	FaultCases []FaultCase
-	// Runs is the number of seeded runs per (profile, fault case) cell.
+	// FaultPlans are the fault plans to sweep; empty selects
+	// paired.BuiltinFaultPlans.
+	FaultPlans []paired.NamedFaultPlan
+	// Runs is the number of seeded runs per (profile, fault plan) cell.
 	// Zero selects 3.
 	Runs int
 	// Seed roots every per-run seed; rows are a pure function of
@@ -73,22 +42,6 @@ type ReplayConfig struct {
 }
 
 func (c ReplayConfig) withDefaults() (ReplayConfig, error) {
-	if len(c.Profiles) == 0 {
-		c.Profiles = ranprofile.Names()
-	}
-	if len(c.FaultCases) == 0 {
-		c.FaultCases = DefaultFaultCases()
-	}
-	for _, fc := range c.FaultCases {
-		if fc.Plan != nil {
-			if err := fc.Plan.Validate(); err != nil {
-				return c, fmt.Errorf("earlystop: fault case %q: %w", fc.Name, err)
-			}
-		}
-	}
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 20
 	}
@@ -113,44 +66,7 @@ func (neverStop) Decide([]float64, []estimate.TrajectoryPoint, time.Duration) co
 	return core.Decision{}
 }
 
-// impairFromPlan renders a fault plan as the link-wide impairment hook,
-// exactly as the campaign runner does: the access link is "server 0", and
-// AllServers faults match it too.
-func impairFromPlan(plan *faults.Plan) func(at time.Duration) linksim.Impairment {
-	if plan == nil {
-		return nil
-	}
-	inj := plan.Injector()
-	return func(at time.Duration) linksim.Impairment {
-		imp := linksim.Impairment{
-			Down:     inj.Blackout(0, at),
-			LossProb: inj.LossProb(0, at),
-		}
-		if capMbps, ok := inj.CapMbps(0, at); ok {
-			imp.CapMbps = capMbps
-		}
-		return imp
-	}
-}
-
-// deviation is the symmetric relative difference used campaign-wide for
-// accuracy: |a−b| / max(a, b), 0 when both are 0.
-func deviation(a, b float64) float64 {
-	hi := a
-	if b > hi {
-		hi = b
-	}
-	if hi == 0 {
-		return 0
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d / hi
-}
-
-// Replay sweeps profiles × fault cases under cfg, runs the probing engine
+// Replay sweeps profiles × fault plans under cfg, runs the probing engine
 // to its deadline on each seeded link, and labels every prefix against the
 // fault-free flooding ground truth on the identical (profile, seed) link.
 // A prefix is positive when stopping there — reporting its trailing-window
@@ -164,70 +80,36 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	sweep := paired.Sweep{Profiles: cfg.Profiles, Plans: cfg.FaultPlans, Runs: cfg.Runs, Seed: cfg.Seed}
+	perRun, err := paired.Map(ctx, sweep, func(r paired.Run) ([]Row, error) {
+		return replayOne(r, cfg)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("earlystop: replay: %w", err)
+	}
 	var rows []Row
-	for _, name := range cfg.Profiles {
-		profile, err := ranprofile.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		model, err := dataset.TechModel(profile.DatasetTech(), 2021)
-		if err != nil {
-			return nil, fmt.Errorf("earlystop: %v", err)
-		}
-		for _, fc := range cfg.FaultCases {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%s|%s", name, fc.Name)
-			cellHash := h.Sum64()
-			for run := 0; run < cfg.Runs; run++ {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("earlystop: replay cancelled: %w", err)
-				}
-				runSeed := int64(stats.SplitMix64(uint64(cfg.Seed) ^ cellHash ^ uint64(run)*stats.SplitMix64Gamma))
-				runRows, err := replayOne(profile, model, fc, runSeed, run, cfg)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, runRows...)
-			}
-		}
+	for _, runRows := range perRun {
+		rows = append(rows, runRows...)
 	}
 	return rows, nil
 }
 
-// replayOne measures one seeded run and labels its prefixes.
-func replayOne(profile *ranprofile.Profile, model *gmm.Model, fc FaultCase, runSeed int64, run int, cfg ReplayConfig) ([]Row, error) {
-	machine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
-	link, err := linksim.New(linksim.Config{
-		StateHook: machine.Hook(),
-		Impair:    impairFromPlan(fc.Plan),
-	}, runSeed)
+// replayOne measures one paired run to its deadline and labels its
+// prefixes.
+func replayOne(r paired.Run, cfg ReplayConfig) ([]Row, error) {
+	res, _, err := r.Engine(neverStop{})
 	if err != nil {
-		return nil, fmt.Errorf("earlystop: replay link: %w", err)
+		return nil, err
 	}
-	probe := core.NewSimProbe(link)
-	res, err := core.Run(probe, core.Config{
-		Model:       model,
-		MaxDuration: replayMaxDuration,
-		Terminate:   neverStop{},
-	})
-	probe.Close()
+	truth, err := r.Truth()
 	if err != nil {
-		return nil, fmt.Errorf("earlystop: replay on %s: %w", profile.Name, err)
+		return nil, err
 	}
-
-	// Ground truth: BTS-APP floods the identical (profile, seed) link with
-	// no faults — same state chain, same AR(1) noise — so the label
-	// isolates what early termination would lose.
-	truthMachine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
-	truthLink, err := linksim.New(linksim.Config{StateHook: truthMachine.Hook()}, runSeed)
-	if err != nil {
-		return nil, fmt.Errorf("earlystop: truth link: %w", err)
-	}
-	truth := (&baseline.BTSApp{}).Run(truthLink).Result
 
 	// The crossing baseline on the same stream: what -terminate crossing
 	// would have reported. Its deviation from truth anchors the labels.
-	crossingDev := deviation(crossingEstimate(res.Samples), truth)
+	crossingEst, _ := crossingReplay(res.Samples)
+	crossingDev := stats.Deviation(crossingEst, truth)
 
 	var rows []Row
 	for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
@@ -242,10 +124,10 @@ func replayOne(profile *ranprofile.Profile, model *gmm.Model, fc FaultCase, runS
 		}
 		est := meanOf(prefix[n-w:])
 		row := Row{
-			Label:     deviation(est, truth) <= crossingDev+cfg.Tolerance,
-			Profile:   profile.Name,
-			FaultPlan: fc.Name,
-			Run:       run,
+			Label:     stats.Deviation(est, truth) <= crossingDev+cfg.Tolerance,
+			Profile:   r.Profile.Name,
+			FaultPlan: r.Plan.Name,
+			Run:       r.N,
 			Prefix:    n,
 		}
 		Featurize(prefix, traj, &row.Features)
@@ -254,25 +136,22 @@ func replayOne(profile *ranprofile.Profile, model *gmm.Model, fc FaultCase, runS
 	return rows, nil
 }
 
-// crossingEstimate replays the §5.1 crossing policy over the full sample
-// stream: the first window it stops on decides the estimate; a stream it
-// never stops on reports the deadline trailing-window mean, exactly like
-// the engine.
-func crossingEstimate(samples []float64) float64 {
+// crossingReplay replays the §5.1 crossing policy over a sample stream:
+// the first window it stops on decides the estimate, and crossed reports
+// that it stopped at all. A stream it never stops on reports the deadline
+// trailing-window mean, exactly like the engine.
+func crossingReplay(samples []float64) (estimate float64, crossed bool) {
 	var cp core.CrossingPolicy
 	for n := 1; n <= len(samples); n++ {
 		if d := cp.Decide(samples[:n], nil, 0); d.Stop {
-			return d.Estimate
+			return d.Estimate, true
 		}
 	}
-	w := featureWindow
-	if w > len(samples) {
-		w = len(samples)
-	}
+	w := min(featureWindow, len(samples))
 	if w == 0 {
-		return 0
+		return 0, false
 	}
-	return meanOf(samples[len(samples)-w:])
+	return meanOf(samples[len(samples)-w:]), false
 }
 
 // TrainFromReplay runs the labeling replay and fits a model in one step,

@@ -4,18 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"sync"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
-	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
-	"github.com/mobilebandwidth/swiftest/internal/faults"
-	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -23,29 +19,6 @@ import (
 // CampaignReportSchema names the campaign report layout, carried in the
 // report header so downstream tooling can dispatch on it.
 const CampaignReportSchema = "swiftest-campaign-report/v1"
-
-// NamedFaultPlan pairs a display name with a fault plan applied link-wide —
-// every flow on the access link (Swiftest's and the baselines' alike) sees
-// the same RAN-side fault, so algorithms are compared under identical
-// adversity. A nil Plan is the fault-free control.
-type NamedFaultPlan struct {
-	Name string
-	Plan *faults.Plan
-}
-
-// BuiltinFaultPlans are the standard campaign fault plans: the fault-free
-// control, a mid-test burst-loss episode, and a short access blackout.
-func BuiltinFaultPlans() []NamedFaultPlan {
-	return []NamedFaultPlan{
-		{Name: "none"},
-		{Name: "burst-loss", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.BurstLoss, Server: faults.AllServers, AtMS: 800, DurationMS: 600, Prob: 0.35},
-		}}},
-		{Name: "blackout", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.Blackout, Server: faults.AllServers, AtMS: 1000, DurationMS: 350},
-		}}},
-	}
-}
 
 // CampaignAlgorithms are the termination algorithms a campaign can sweep.
 var CampaignAlgorithms = []string{"swiftest", "fastbts", "fast", "earlystop"}
@@ -59,8 +32,8 @@ type CampaignConfig struct {
 	// selects swiftest and fastbts.
 	Algorithms []string
 	// FaultPlans are the fault plans to sweep; empty selects
-	// BuiltinFaultPlans.
-	FaultPlans []NamedFaultPlan
+	// paired.BuiltinFaultPlans.
+	FaultPlans []paired.NamedFaultPlan
 	// Runs is the number of seeded runs per cell. Zero selects 3.
 	Runs int
 	// Seed roots every per-run seed; the report is a pure function of
@@ -68,8 +41,8 @@ type CampaignConfig struct {
 	Seed int64
 	// Workers bounds concurrent runs. Zero selects 1. The report is
 	// byte-identical at every worker count: per-run seeds are pure
-	// functions of the cell coordinates and results aggregate in cell
-	// order regardless of completion order.
+	// functions of the (profile, fault plan, run) coordinates and results
+	// aggregate in cell order regardless of completion order.
 	Workers int
 	// Registry, when non-nil, receives per-state dwell and handover
 	// instruments from every profiled link in the campaign.
@@ -77,9 +50,6 @@ type CampaignConfig struct {
 }
 
 func (c CampaignConfig) withDefaults() (CampaignConfig, error) {
-	if len(c.Profiles) == 0 {
-		c.Profiles = ranprofile.Names()
-	}
 	if len(c.Algorithms) == 0 {
 		c.Algorithms = []string{"swiftest", "fastbts"}
 	}
@@ -90,23 +60,23 @@ func (c CampaignConfig) withDefaults() (CampaignConfig, error) {
 			return c, fmt.Errorf("exper: unknown campaign algorithm %q (known: %v)", alg, CampaignAlgorithms)
 		}
 	}
-	if len(c.FaultPlans) == 0 {
-		c.FaultPlans = BuiltinFaultPlans()
+	s, err := c.sweep().WithDefaults()
+	if err != nil {
+		return c, err
 	}
-	for _, fp := range c.FaultPlans {
-		if fp.Plan != nil {
-			if err := fp.Plan.Validate(); err != nil {
-				return c, fmt.Errorf("exper: fault plan %q: %w", fp.Name, err)
-			}
-		}
-	}
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
+	c.Profiles, c.FaultPlans, c.Runs, c.Workers = s.Profiles, s.Plans, s.Runs, s.Workers
 	return c, nil
+}
+
+func (c CampaignConfig) sweep() paired.Sweep {
+	return paired.Sweep{
+		Profiles: c.Profiles,
+		Plans:    c.FaultPlans,
+		Runs:     c.Runs,
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+		Registry: c.Registry,
+	}
 }
 
 // ScenarioStats is one aggregated cell of the campaign report: one
@@ -117,7 +87,9 @@ type ScenarioStats struct {
 	FaultPlan string `json:"fault_plan"`
 	Runs      int    `json:"runs"`
 	// MeanAccuracy is mean 1 − deviation versus the fault-free BTS-APP
-	// ground truth on the identical (profile, seed) link.
+	// ground truth on the identical (profile, seed) link. Every algorithm
+	// of a (profile, fault plan) runs on the same links against the same
+	// truths, so cells compare across algorithms.
 	MeanAccuracy float64 `json:"mean_accuracy"`
 	// MeanDurationMS is the mean test duration in virtual milliseconds.
 	MeanDurationMS float64 `json:"mean_duration_ms"`
@@ -173,15 +145,7 @@ func (r *CampaignReport) WriteTable(w io.Writer) error {
 	return nil
 }
 
-// campaignCell is one (profile, algorithm, fault plan) coordinate.
-type campaignCell struct {
-	profile *ranprofile.Profile
-	alg     string
-	plan    NamedFaultPlan
-	hash    uint64 // FNV-64a of the cell coordinates, seeding its runs
-}
-
-// runOutcome is one measured run of a cell.
+// runOutcome is one algorithm's measurement on one run.
 type runOutcome struct {
 	estimate     float64
 	truth        float64
@@ -192,203 +156,111 @@ type runOutcome struct {
 	stateChanges int
 }
 
-// impairFromPlan renders a fault plan as the link-wide impairment hook: the
-// access link is "server 0", and AllServers faults match it too.
-func impairFromPlan(plan *faults.Plan) func(at time.Duration) linksim.Impairment {
-	if plan == nil {
-		return nil
-	}
-	inj := plan.Injector()
-	return func(at time.Duration) linksim.Impairment {
-		imp := linksim.Impairment{
-			Down:     inj.Blackout(0, at),
-			LossProb: inj.LossProb(0, at),
-		}
-		if capMbps, ok := inj.CapMbps(0, at); ok {
-			imp.CapMbps = capMbps
-		}
-		return imp
-	}
-}
-
-// runScenario measures one run of one cell: the algorithm under test on a
-// profiled, possibly faulted link, against fault-free BTS-APP ground truth
-// replaying the identical (profile, seed) capacity trace.
-func runScenario(cell campaignCell, runSeed int64, reg *obs.Registry) (runOutcome, error) {
-	machine := ranprofile.NewMachine(cell.profile, runSeed, ranprofile.MachineOptions{
-		Metrics: ranprofile.NewLinkMetrics(reg),
-	})
-	testCfg := linksim.Config{
-		StateHook: machine.Hook(),
-		Impair:    impairFromPlan(cell.plan.Plan),
-	}
-	testLink, err := linksim.New(testCfg, runSeed)
+// runAlgorithms measures every algorithm on one paired run: each on a fresh
+// replay of the identical faulted link, all against one truth flood.
+func runAlgorithms(r paired.Run, algs []string) ([]runOutcome, error) {
+	truth, err := r.Truth()
 	if err != nil {
-		return runOutcome{}, fmt.Errorf("exper: campaign link: %w", err)
+		return nil, err
 	}
-
-	var out runOutcome
-	switch cell.alg {
-	case "swiftest", "earlystop":
-		model, err := dataset.TechModel(cell.profile.DatasetTech(), 2021)
-		if err != nil {
-			return runOutcome{}, fmt.Errorf("exper: %v", err)
+	out := make([]runOutcome, len(algs))
+	for i, alg := range algs {
+		o := &out[i]
+		var machine *ranprofile.Machine
+		switch alg {
+		case "swiftest", "earlystop":
+			var terminate core.TerminationPolicy
+			if alg == "earlystop" {
+				// The learned policy over the same engine: the crossing
+				// rule stays as its fallback, so accuracy can only differ
+				// where the model fires first.
+				terminate = earlystop.NewPolicy(nil)
+			}
+			res, m, err := r.Engine(terminate)
+			if err != nil {
+				return nil, fmt.Errorf("exper: %s: %w", alg, err)
+			}
+			*o = runOutcome{estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged}
+			machine = m
+		case "fastbts", "fast":
+			link, m, err := r.Link()
+			if err != nil {
+				return nil, err
+			}
+			var rep baseline.Report
+			if alg == "fastbts" {
+				rep = (&baseline.FastBTS{}).Run(link)
+			} else {
+				rep = (&baseline.FAST{}).Run(link)
+			}
+			*o = runOutcome{estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true}
+			machine = m
+		default:
+			return nil, fmt.Errorf("exper: unknown campaign algorithm %q", alg)
 		}
-		cfg := core.Config{Model: model, MaxDuration: SwiftestMaxDuration}
-		if cell.alg == "earlystop" {
-			// The learned policy over the same engine: the crossing rule
-			// stays as its fallback, so accuracy can only differ where the
-			// model fires first.
-			cfg.Terminate = earlystop.NewPolicy(nil)
-		}
-		probe := core.NewSimProbe(testLink)
-		res, err := core.Run(probe, cfg)
-		probe.Close()
-		if err != nil {
-			return runOutcome{}, fmt.Errorf("exper: %s on %s: %w", cell.alg, cell.profile.Name, err)
-		}
-		out = runOutcome{estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged}
-	case "fastbts":
-		rep := (&baseline.FastBTS{}).Run(testLink)
-		out = runOutcome{estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true}
-	case "fast":
-		rep := (&baseline.FAST{}).Run(testLink)
-		out = runOutcome{estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true}
-	default:
-		return runOutcome{}, fmt.Errorf("exper: unknown campaign algorithm %q", cell.alg)
+		o.truth = truth
+		o.handovers = machine.Handovers()
+		o.stateChanges = machine.StateChanges()
 	}
-	out.handovers = machine.Handovers()
-	out.stateChanges = machine.StateChanges()
-
-	// Ground truth: BTS-APP floods the identical (profile, seed) link —
-	// same state chain, same AR(1) noise — with no faults, so accuracy
-	// isolates what the termination algorithm loses, not what the fault
-	// destroyed.
-	truthMachine := ranprofile.NewMachine(cell.profile, runSeed, ranprofile.MachineOptions{})
-	truthLink, err := linksim.New(linksim.Config{StateHook: truthMachine.Hook()}, runSeed)
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("exper: truth link: %w", err)
-	}
-	out.truth = (&baseline.BTSApp{}).Run(truthLink).Result
 	return out, nil
 }
 
 // RunCampaign sweeps profiles × algorithms × fault plans under cfg and
-// aggregates each cell. The report is deterministic: a pure function of
-// the config and seed, independent of Workers and of goroutine scheduling.
+// aggregates each cell. Every (profile, fault plan, run) is one paired run:
+// all algorithms measure the identical link against one truth flood. The
+// report is deterministic: a pure function of the config and seed,
+// independent of Workers and of goroutine scheduling.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
-	// The cell list is fixed up front in sweep order; each run gets a slot
-	// in a preallocated result matrix, so completion order cannot reorder
-	// the report.
-	var cells []campaignCell
-	for _, name := range cfg.Profiles {
-		p, err := ranprofile.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, alg := range cfg.Algorithms {
-			for _, fp := range cfg.FaultPlans {
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%s|%s|%s", name, alg, fp.Name)
-				cells = append(cells, campaignCell{profile: p, alg: alg, plan: fp, hash: h.Sum64()})
-			}
-		}
-	}
-
-	type job struct{ cell, run int }
-	jobs := make([]job, 0, len(cells)*cfg.Runs)
-	for c := range cells {
-		for r := 0; r < cfg.Runs; r++ {
-			jobs = append(jobs, job{cell: c, run: r})
-		}
-	}
-
-	outcomes := make([]runOutcome, len(jobs))
-	errs := make([]error, len(jobs))
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				j := jobs[idx]
-				cell := cells[j.cell]
-				runSeed := int64(stats.SplitMix64(uint64(cfg.Seed) ^ cell.hash ^ uint64(j.run)*stats.SplitMix64Gamma))
-				outcomes[idx], errs[idx] = runScenario(cell, runSeed, cfg.Registry)
-			}
-		}()
-	}
-feed:
-	for idx := range jobs {
-		select {
-		case next <- idx:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("exper: campaign aborted: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	runs, err := paired.Map(ctx, cfg.sweep(), func(r paired.Run) ([]runOutcome, error) {
+		return runAlgorithms(r, cfg.Algorithms)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exper: campaign: %w", err)
 	}
 
 	// Aggregate sequentially in cell order: float summation order is fixed,
-	// so the report bytes cannot depend on scheduling.
+	// so the report bytes cannot depend on scheduling. Runs come back
+	// profile-major, then fault plan, then run.
 	report := &CampaignReport{
 		Schema:     CampaignReportSchema,
 		Seed:       cfg.Seed,
 		Runs:       cfg.Runs,
 		Profiles:   cfg.Profiles,
 		Algorithms: cfg.Algorithms,
-		Scenarios:  make([]ScenarioStats, 0, len(cells)),
+		FaultPlans: cfg.sweep().PlanNames(),
+		Scenarios:  make([]ScenarioStats, 0, len(cfg.Profiles)*len(cfg.Algorithms)*len(cfg.FaultPlans)),
 	}
-	for _, fp := range cfg.FaultPlans {
-		report.FaultPlans = append(report.FaultPlans, fp.Name)
-	}
-	for c, cell := range cells {
-		s := ScenarioStats{
-			Profile:   cell.profile.Name,
-			Algorithm: cell.alg,
-			FaultPlan: cell.plan.Name,
-			Runs:      cfg.Runs,
-		}
-		for r := 0; r < cfg.Runs; r++ {
-			o := outcomes[c*cfg.Runs+r]
-			s.MeanAccuracy += 1 - Deviation(o.estimate, o.truth)
-			s.MeanDurationMS += float64(o.duration) / float64(time.Millisecond)
-			s.MeanDataMB += o.dataMB
-			s.MeanEstimateMbps += o.estimate
-			s.MeanTruthMbps += o.truth
-			if o.converged {
-				s.Converged++
+	for pi, profile := range cfg.Profiles {
+		for ai, alg := range cfg.Algorithms {
+			for fi, fp := range cfg.FaultPlans {
+				s := ScenarioStats{Profile: profile, Algorithm: alg, FaultPlan: fp.Name, Runs: cfg.Runs}
+				first := (pi*len(cfg.FaultPlans) + fi) * cfg.Runs
+				for _, outcomes := range runs[first : first+cfg.Runs] {
+					o := outcomes[ai]
+					s.MeanAccuracy += 1 - stats.Deviation(o.estimate, o.truth)
+					s.MeanDurationMS += float64(o.duration) / float64(time.Millisecond)
+					s.MeanDataMB += o.dataMB
+					s.MeanEstimateMbps += o.estimate
+					s.MeanTruthMbps += o.truth
+					if o.converged {
+						s.Converged++
+					}
+					s.Handovers += o.handovers
+					s.StateChanges += o.stateChanges
+				}
+				n := float64(cfg.Runs)
+				s.MeanAccuracy /= n
+				s.MeanDurationMS /= n
+				s.MeanDataMB /= n
+				s.MeanEstimateMbps /= n
+				s.MeanTruthMbps /= n
+				report.Scenarios = append(report.Scenarios, s)
 			}
-			s.Handovers += o.handovers
-			s.StateChanges += o.stateChanges
 		}
-		n := float64(cfg.Runs)
-		s.MeanAccuracy /= n
-		s.MeanDurationMS /= n
-		s.MeanDataMB /= n
-		s.MeanEstimateMbps /= n
-		s.MeanTruthMbps /= n
-		report.Scenarios = append(report.Scenarios, s)
 	}
 	return report, nil
 }

@@ -3,9 +3,12 @@ package exper
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
+	"github.com/mobilebandwidth/swiftest/internal/earlystop"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
@@ -54,7 +57,7 @@ func TestCampaignSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := 1 * 3 * len(BuiltinFaultPlans())
+	wantCells := 1 * 3 * len(paired.BuiltinFaultPlans())
 	if len(rep.Scenarios) != wantCells {
 		t.Fatalf("report has %d cells, want %d", len(rep.Scenarios), wantCells)
 	}
@@ -121,5 +124,82 @@ func TestCampaignHonoursCancellation(t *testing.T) {
 	_, err := RunCampaign(ctx, CampaignConfig{Runs: 1, Workers: 2})
 	if err == nil {
 		t.Fatal("cancelled campaign reported success")
+	}
+}
+
+// TestCampaignCellsPaired pins the paired harness: every algorithm of a
+// (profile, fault plan) runs on the identical links against one truth
+// flood, so the cells' mean truths agree exactly.
+func TestCampaignCellsPaired(t *testing.T) {
+	rep, err := RunCampaign(context.Background(), CampaignConfig{
+		Profiles:   []string{"4g-drive", "5g-static", "subway"},
+		Algorithms: []string{"swiftest", "fastbts", "fast", "earlystop"},
+		Runs:       2,
+		Seed:       42,
+		Workers:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[string]float64{}
+	for _, s := range rep.Scenarios {
+		key := s.Profile + "/" + s.FaultPlan
+		want, ok := truth[key]
+		if !ok {
+			truth[key] = s.MeanTruthMbps
+			continue
+		}
+		if s.MeanTruthMbps != want {
+			t.Errorf("%s: %s truth %.6f Mbps, first algorithm's %.6f", key, s.Algorithm, s.MeanTruthMbps, want)
+		}
+	}
+	if len(truth) != 3*len(rep.FaultPlans) {
+		t.Errorf("saw %d (profile, plan) cells, want %d", len(truth), 3*len(rep.FaultPlans))
+	}
+}
+
+// TestCampaignMatchesEvaluate checks that the campaign and the earlystop
+// evaluator are one harness: averaged over its cells, a campaign of
+// swiftest and earlystop reproduces Evaluate's crossing and earlystop
+// points at the same seed and run count.
+func TestCampaignMatchesEvaluate(t *testing.T) {
+	rep, err := RunCampaign(context.Background(), CampaignConfig{
+		Algorithms: []string{"swiftest", "earlystop"},
+		Runs:       3,
+		Seed:       1,
+		Workers:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := earlystop.Evaluate(context.Background(), earlystop.EvalConfig{Runs: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, alg := range []string{"swiftest", "earlystop"} {
+		var acc, dur, data float64
+		var cells int
+		for _, s := range rep.Scenarios {
+			if s.Algorithm == alg {
+				acc += s.MeanAccuracy
+				dur += s.MeanDurationMS
+				data += s.MeanDataMB
+				cells++
+			}
+		}
+		n := float64(cells)
+		pt := eval.Points[i]
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"accuracy", acc / n, pt.MeanAccuracy},
+			{"duration_ms", dur / n, pt.MeanDurationMS},
+			{"data_mb", data / n, pt.MeanDataMB},
+		} {
+			if math.Abs(c.got-c.want) > 1e-9 {
+				t.Errorf("%s vs %s point: campaign %s %.12f, Evaluate %.12f", alg, pt.Policy, c.name, c.got, c.want)
+			}
+		}
 	}
 }

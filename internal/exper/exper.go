@@ -11,7 +11,6 @@ package exper
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -21,6 +20,8 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // LinkDraw is one sampled access-link scenario.
@@ -121,23 +122,9 @@ func (s Scenario) Draw(rng *rand.Rand) (LinkDraw, error) {
 	}, nil
 }
 
-// Deviation is the paper's test-pair difference metric (§5.3):
-// |a − b| / max(a, b); zero when both are zero.
-func Deviation(a, b float64) float64 {
-	m := math.Max(a, b)
-	if m <= 0 {
-		return 0
-	}
-	return math.Abs(a-b) / m
-}
-
 // PingOverhead is the server-selection cost Swiftest adds before probing
 // (§5.3: PINGing the 10 test servers costs ≈0.2 s on average).
 const PingOverhead = 200 * time.Millisecond
-
-// SwiftestMaxDuration bounds a Swiftest test in campaigns; the field
-// deployment observed a 4.49 s worst case.
-const SwiftestMaxDuration = 4500 * time.Millisecond
 
 // PairResult is one back-to-back Swiftest / BTS-APP test pair (§5.3's
 // evaluation unit).
@@ -161,7 +148,7 @@ const PairDriftSigma = 0.035
 func RunPair(draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
 	swLink := linksim.MustNew(draw.Config, seed)
 	probe := core.NewSimProbe(swLink)
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: SwiftestMaxDuration})
+	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: paired.MaxDuration})
 	probe.Close()
 	if err != nil {
 		return PairResult{}, fmt.Errorf("exper: swiftest run: %w", err)
@@ -180,7 +167,7 @@ func RunPair(draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
 		Link:      draw,
 		Swiftest:  res,
 		BTSApp:    rep,
-		Deviation: Deviation(res.Bandwidth, rep.Result),
+		Deviation: stats.Deviation(res.Bandwidth, rep.Result),
 	}, nil
 }
 
@@ -221,7 +208,7 @@ type ThreeWayResult struct {
 // Accuracy reports 1 − deviation versus the BTS-APP ground truth for a
 // result value.
 func (r ThreeWayResult) Accuracy(result float64) float64 {
-	return 1 - Deviation(result, r.Truth.Result)
+	return 1 - stats.Deviation(result, r.Truth.Result)
 }
 
 // ThreeWayCampaign runs n test groups for one technology.
@@ -252,7 +239,7 @@ func ThreeWayCampaign(tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, e
 
 		swLink := linksim.MustNew(draw.Config, base+3)
 		probe := core.NewSimProbe(swLink)
-		sw, err := core.Run(probe, core.Config{Model: model, MaxDuration: SwiftestMaxDuration})
+		sw, err := core.Run(probe, core.Config{Model: model, MaxDuration: paired.MaxDuration})
 		probe.Close()
 		if err != nil {
 			return nil, fmt.Errorf("exper: swiftest in group %d: %w", i, err)

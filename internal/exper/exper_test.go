@@ -1,25 +1,13 @@
 package exper
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 )
-
-func TestDeviationMetric(t *testing.T) {
-	if Deviation(0, 0) != 0 {
-		t.Error("Deviation(0,0) != 0")
-	}
-	if got := Deviation(100, 80); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("Deviation(100,80) = %g, want 0.2", got)
-	}
-	if Deviation(80, 100) != Deviation(100, 80) {
-		t.Error("deviation not symmetric")
-	}
-}
 
 func TestScenarioDraw(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -68,7 +56,7 @@ func TestFig20And21And22(t *testing.T) {
 	if dur.Median > 1200*time.Millisecond {
 		t.Errorf("median duration = %v, want ≈0.76 s", dur.Median)
 	}
-	if dur.Max > SwiftestMaxDuration {
+	if dur.Max > paired.MaxDuration {
 		t.Errorf("max duration = %v beyond the deadline", dur.Max)
 	}
 	if dur.WithinOneSecond < 0.3 {

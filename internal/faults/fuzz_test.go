@@ -5,17 +5,17 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/mobilebandwidth/swiftest/internal/exper"
 	"github.com/mobilebandwidth/swiftest/internal/faults"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 )
 
 // FuzzParse feeds arbitrary JSON to the fault-plan decoder, which reads
 // operator-supplied files: it must never panic, and a plan it accepts must
-// re-encode to JSON that parses back to an equal plan. The built-in campaign
+// re-encode to JSON that parses back to an equal plan. The built-in sweep
 // plans seed the corpus. Run with
 // `go test -fuzz=FuzzParse ./internal/faults/`.
 func FuzzParse(f *testing.F) {
-	for _, np := range exper.BuiltinFaultPlans() {
+	for _, np := range paired.BuiltinFaultPlans() {
 		data, err := json.Marshal(np.Plan)
 		if err != nil {
 			f.Fatal(err)

@@ -41,17 +41,31 @@ type Model struct {
 
 // New returns a Model with the given components, normalising weights to sum
 // to one and sorting components by Mu. It returns an error if no component is
-// given, any sigma is non-positive, or any weight is negative.
+// given, any mu or sigma is non-finite, any sigma is non-positive, any weight
+// is negative, or the weights do not sum to a positive finite value.
 func New(comps ...Component) (*Model, error) {
+	return build(comps, false)
+}
+
+// unitTolerance is how far from one a weight sum may be and still count as
+// normalised.
+const unitTolerance = 1e-9
+
+// build is New; with keepUnit, weights that already sum to one within
+// unitTolerance are kept as given rather than divided by their sum again.
+func build(comps []Component, keepUnit bool) (*Model, error) {
 	if len(comps) == 0 {
 		return nil, errors.New("gmm: model needs at least one component")
 	}
 	var wsum float64
 	for _, c := range comps {
-		if c.Sigma <= 0 {
-			return nil, fmt.Errorf("gmm: component sigma %g must be positive", c.Sigma)
+		if math.IsNaN(c.Mu) || math.IsInf(c.Mu, 0) {
+			return nil, fmt.Errorf("gmm: component mu %g must be finite", c.Mu)
 		}
-		if c.Weight < 0 {
+		if !(c.Sigma > 0) || math.IsInf(c.Sigma, 0) {
+			return nil, fmt.Errorf("gmm: component sigma %g must be positive and finite", c.Sigma)
+		}
+		if !(c.Weight >= 0) {
 			return nil, fmt.Errorf("gmm: component weight %g must be non-negative", c.Weight)
 		}
 		wsum += c.Weight
@@ -59,12 +73,17 @@ func New(comps ...Component) (*Model, error) {
 	if wsum <= 0 {
 		return nil, errors.New("gmm: component weights sum to zero")
 	}
+	if math.IsInf(wsum, 0) {
+		return nil, errors.New("gmm: component weights overflow their sum")
+	}
 	cs := make([]Component, len(comps))
 	copy(cs, comps)
-	for i := range cs {
-		cs[i].Weight /= wsum
+	if !keepUnit || math.Abs(wsum-1) > unitTolerance {
+		for i := range cs {
+			cs[i].Weight /= wsum
+		}
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Mu < cs[j].Mu })
+	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Mu < cs[j].Mu })
 	return &Model{components: cs}, nil
 }
 

@@ -29,6 +29,14 @@ func TestNewValidation(t *testing.T) {
 		{"zero sigma", []Component{{Weight: 1, Mu: 10, Sigma: 0}}},
 		{"negative weight", []Component{{Weight: -1, Mu: 10, Sigma: 1}}},
 		{"all zero weights", []Component{{Weight: 0, Mu: 10, Sigma: 1}}},
+		// 1e308 + 1e308 overflows: each weight would normalise to 0 and
+		// the PDF would vanish everywhere.
+		{"overflowing weight sum", []Component{{Weight: 1e308, Mu: 10, Sigma: 1}, {Weight: 1e308, Mu: 20, Sigma: 1}}},
+		{"NaN weight", []Component{{Weight: math.NaN(), Mu: 10, Sigma: 1}}},
+		{"infinite mu", []Component{{Weight: 1, Mu: math.Inf(1), Sigma: 1}}},
+		{"NaN mu", []Component{{Weight: 1, Mu: math.NaN(), Sigma: 1}}},
+		{"infinite sigma", []Component{{Weight: 1, Mu: 10, Sigma: math.Inf(1)}}},
+		{"NaN sigma", []Component{{Weight: 1, Mu: 10, Sigma: math.NaN()}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.comps...); err == nil {
@@ -271,6 +279,7 @@ func TestJSONRejectsInvalid(t *testing.T) {
 		`{"version":1,"components":[]}`,
 		`{"version":1,"components":[{"weight":1,"mu":10,"sigma":0}]}`,
 		`{"version":1,"components":[{"weight":-1,"mu":10,"sigma":1}]}`,
+		`{"version":1,"components":[{"weight":1e308,"mu":10,"sigma":1},{"weight":1e308,"mu":20,"sigma":1}]}`,
 	}
 	for _, c := range cases {
 		var m Model

@@ -31,7 +31,9 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler, validating the mixture the same
-// way New does.
+// way New does. Weights that already sum to one within 1e-9 — as every
+// marshalled model's do — are kept as written, so Marshal → Unmarshal gives
+// back the identical model instead of one renormalised by an ulp.
 func (m *Model) UnmarshalJSON(b []byte) error {
 	var in modelJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -44,7 +46,7 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	for _, c := range in.Components {
 		comps = append(comps, Component{Weight: c.Weight, Mu: c.Mu, Sigma: c.Sigma})
 	}
-	parsed, err := New(comps...)
+	parsed, err := build(comps, true)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,8 @@ var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc: "flags global math/rand source calls, time-derived seeds and " +
 		"hard-coded rand.NewSource seeds in the deterministic packages " +
-		"(dataset, faults, fleet, loadgen, linksim, deploy, core)",
+		"(dataset, faults, fleet, loadgen, linksim, deploy, core, ranprofile, " +
+		"earlystop, paired)",
 	Run: runSeedflow,
 }
 
@@ -48,6 +49,7 @@ var seedflowPackageSuffixes = []string{
 	"internal/core",
 	"internal/ranprofile",
 	"internal/earlystop",
+	"internal/paired",
 }
 
 // globalRandFuncs are the package-level math/rand functions that draw from

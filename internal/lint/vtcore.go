@@ -18,7 +18,8 @@ var VTCore = &Analyzer{
 	Name: "vtcore",
 	Doc: "flags //lint:allow walltime directives inside the pinned " +
 		"virtual-time core packages (linksim, gmm, deploy, faults, fleet, " +
-		"loadgen) — the core must stay wall-clock-free, not opted out",
+		"loadgen, ranprofile, earlystop, paired) — the core must stay " +
+		"wall-clock-free, not opted out",
 	Run: runVTCore,
 }
 
@@ -36,6 +37,7 @@ var vtCorePackageSuffixes = []string{
 	"internal/loadgen",
 	"internal/ranprofile",
 	"internal/earlystop",
+	"internal/paired",
 }
 
 func runVTCore(pass *Pass) error {

@@ -382,3 +382,14 @@ func (g *GroupBy) Counts() map[string]int {
 	}
 	return out
 }
+
+// Deviation is the paper's test-pair difference metric (§5.3):
+// |a − b| / max(a, b); zero when both are zero. Every accuracy in the
+// repository is 1 − Deviation against a ground truth.
+func Deviation(a, b float64) float64 {
+	m := math.Max(a, b)
+	if m <= 0 {
+		return 0
+	}
+	return math.Abs(a-b) / m
+}

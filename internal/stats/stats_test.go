@@ -244,3 +244,15 @@ func TestNewSampleCopies(t *testing.T) {
 		t.Error("NewSample mutated the caller's slice")
 	}
 }
+
+func TestDeviationMetric(t *testing.T) {
+	if Deviation(0, 0) != 0 {
+		t.Error("Deviation(0,0) != 0")
+	}
+	if got := Deviation(100, 80); math.Abs(got-0.2) > 1e-12 {
+		t.Errorf("Deviation(100,80) = %g, want 0.2", got)
+	}
+	if Deviation(80, 100) != Deviation(100, 80) {
+		t.Error("deviation not symmetric")
+	}
+}

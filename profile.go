@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/mobilebandwidth/swiftest/internal/exper"
+	"github.com/mobilebandwidth/swiftest/internal/paired"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
@@ -45,17 +46,19 @@ type CampaignReport = exper.CampaignReport
 type CampaignScenario = exper.ScenarioStats
 
 // NamedFaultPlan pairs a display name with a fault plan applied to the
-// emulated access link for every algorithm in a campaign cell.
-type NamedFaultPlan = exper.NamedFaultPlan
+// emulated access link for every algorithm in a campaign cell. The same
+// type names the fault plans of EarlyStopReplayConfig.FaultPlans.
+type NamedFaultPlan = paired.NamedFaultPlan
 
 // BuiltinFaultPlans returns the standard campaign fault plans: a
 // fault-free control, a mid-test burst-loss episode, and a short access
 // blackout.
-func BuiltinFaultPlans() []NamedFaultPlan { return exper.BuiltinFaultPlans() }
+func BuiltinFaultPlans() []NamedFaultPlan { return paired.BuiltinFaultPlans() }
 
 // RunCampaign sweeps RAN profiles × termination algorithms × fault plans
 // and reports per-scenario accuracy (against flooding ground truth on the
-// identical link), duration, and data cost. The `swiftest campaign` CLI
+// identical link, which every algorithm of a profile and fault plan
+// shares), duration, and data cost. The `swiftest campaign` CLI
 // subcommand is a thin wrapper over this.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
 	return exper.RunCampaign(ctx, cfg)

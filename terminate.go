@@ -70,7 +70,7 @@ func ParseTerminationPolicy(name string) (TerminationPolicy, error) {
 type EarlyStopTrainOptions = earlystop.TrainOptions
 
 // EarlyStopReplayConfig parameterises the labeling replay behind
-// TrainEarlyStopModel: RAN profiles × fault cases × seeded runs, labeled
+// TrainEarlyStopModel: RAN profiles × fault plans × seeded runs, labeled
 // against flooding ground truth.
 type EarlyStopReplayConfig = earlystop.ReplayConfig
 
